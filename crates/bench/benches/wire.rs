@@ -6,7 +6,7 @@
 //! measures. This bench isolates that overhead: round-trip time for a
 //! point op (one request/response frame pair) and for a level-batched
 //! closure exchange, plus bytes-per-write-syscall derived from the
-//! `net.*` counters the transport and event loop maintain.
+//! `net.*` counters the client and server transports maintain.
 //!
 //! Not a criterion bench: the interesting numbers (frames/sec,
 //! bytes/syscall, write syscalls per op) need counter deltas around the
@@ -106,7 +106,7 @@ fn main() {
     };
 
     // The `sharded-tcp` deployment the harness uses: N mem shards behind
-    // one nonblocking event loop, a router over N TCP connections.
+    // `serve_multi`, a router over N TCP connections.
     let db = TestDatabase::generate(&GenConfig::tiny());
     let shards: Vec<MemStore> = (0..SHARDS).map(|_| MemStore::new()).collect();
     let srv = server::serve_multi(shards).expect("serve_multi");

@@ -1,31 +1,21 @@
 //! `exec` — execution infrastructure for the sharded HyperModel store.
 //!
-//! Two layers, both dependency-free (raw `std` plus the in-tree
-//! `parking_lot` compat shim):
+//! [`ShardExecutor`] is a persistent per-shard worker pool, dependency
+//! free (raw `std` plus the in-tree `parking_lot` compat shim). One
+//! long-lived thread per shard, fed over bounded channels, replaces the
+//! scoped-thread spawn+join (~15 µs/shard) the sharded store used to pay
+//! on every fan-out with a channel round trip (~3 µs). Panic isolation
+//! poisons only the offending shard; [`Batch`] gives scope-style
+//! fan-out/join with an optional shared deadline.
 //!
-//! * [`ShardExecutor`] — a persistent per-shard worker pool. One
-//!   long-lived thread per shard, fed over bounded channels, replaces
-//!   the scoped-thread spawn+join (~15 µs/shard) the sharded store used
-//!   to pay on every fan-out with a channel round trip (~3 µs). Panic
-//!   isolation poisons only the offending shard; [`Batch`] gives
-//!   scope-style fan-out/join with an optional shared deadline.
-//! * [`EventLoop`] — a single-threaded nonblocking socket loop over raw
-//!   `std::net`, hosting N listeners in one thread with per-connection
-//!   read/write buffers and length-prefixed framing. Request execution
-//!   is deferred onto the shard executors via [`Completions`], so one
-//!   process serves N shard ports without a thread per connection.
-//!
-//! `server::serve_multi` composes the two into a single-process
-//! multi-shard server; `shard::ShardedStore` routes every fan-out,
-//! level-batched closure, and parallel 2PC prepare through the pool.
+//! `shard::ShardedStore` routes every fan-out, level-batched closure,
+//! and parallel 2PC prepare through the pool. The wire server
+//! (`server::serve_multi`) does not use it: a request runs on its
+//! connection's thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod event_loop;
 mod pool;
 
-pub use event_loop::{
-    Completions, ConnId, EventLoop, FrameHandler, FrameOutcome, LoopStats, TRACE_HEADER,
-};
 pub use pool::{Batch, ExecError, JobHandle, ShardExecutor};

@@ -1,6 +1,6 @@
 //! Lock-order regression gate for the executor pool. Compiled only
-//! under `RUSTFLAGS="--cfg sanity_check"`: runs real fan-out, detached
-//! completion, and panic-poisoning workloads through the instrumented
+//! under `RUSTFLAGS="--cfg sanity_check"`: runs real fan-out and
+//! panic-poisoning workloads through the instrumented
 //! shims, then asserts the detector recorded no order cycles and no
 //! blocking channel use under a shard lock.
 //!
@@ -13,7 +13,6 @@
 
 use exec::ShardExecutor;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn workspace_root() -> PathBuf {
@@ -88,19 +87,6 @@ fn executor_workloads_record_no_hazards() {
         j.join().expect("client thread");
     }
 
-    // Detached completions (the event-loop reply path).
-    let acc = Arc::new(AtomicU64::new(0));
-    for s in 0..4 {
-        let acc = Arc::clone(&acc);
-        exec.submit_detached(
-            s,
-            |v: &mut u64| *v,
-            move |v| {
-                acc.fetch_add(v, Ordering::SeqCst);
-            },
-        )
-        .expect("detached submit");
-    }
     // Poison one shard and keep using the others.
     let h = exec
         .submit(2, |_: &mut u64| -> u64 { panic!("injected") })

@@ -17,8 +17,8 @@
 //!
 //! Backends: `mem`, `disk`, `rel`, `remote`, `sharded-mem:N[:rK][:hash|:affinity]`,
 //! `sharded-disk:N[:hash|:affinity]`, `sharded-tcp:N[:rK][:hash|:affinity]`
-//! (one in-process `serve_multi` event loop hosting the shard servers
-//! behind real TCP) or `all` (default `all` = the three single stores).
+//! (one in-process `serve_multi` hosting the shard servers behind real
+//! TCP) or `all` (default `all` = the three single stores).
 //! The `:rK` suffix replicates every logical shard across K full mirrors
 //! (`sharded-mem:4:r2` = 4 logical shards × 2 copies = 8 backends) with
 //! failover reads, quorum-style write fan-out and automatic repair.
@@ -384,9 +384,8 @@ fn load_backend(
                 ))
             }
             Some(("sharded-tcp", n, k, placement)) => {
-                // One process, N*K shard servers: mem shards behind the
-                // nonblocking event loop, a `connect_sharded` router in
-                // front. Loading and every operation cross real TCP.
+                // One process, N*K shard servers: mem shards behind
+                // `serve_multi`, a `connect_sharded` router in front. Loading and every operation cross real TCP.
                 let shards: Vec<MemStore> = (0..n * k).map(|_| MemStore::new()).collect();
                 let srv = server::serve_multi(shards)?;
                 let mut store = if k == 1 {

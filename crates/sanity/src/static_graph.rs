@@ -82,12 +82,12 @@ const PANIC_SCOPE: &[&str] = &[
 const PANIC_ROOTS: &[(&str, &str)] = &[
     ("crates/server/src/server.rs", "dispatch"),
     ("crates/server/src/server.rs", "serve_with_cache"),
-    ("crates/server/src/multi.rs", "on_frame"),
+    ("crates/server/src/server.rs", "session"),
+    ("crates/server/src/multi.rs", "accept_loop"),
+    ("crates/server/src/multi.rs", "serve_conn"),
+    ("crates/server/src/multi.rs", "execute"),
     ("crates/exec/src/pool.rs", "submit"),
-    ("crates/exec/src/pool.rs", "submit_detached"),
     ("crates/exec/src/pool.rs", "with_shard"),
-    ("crates/exec/src/event_loop.rs", "run"),
-    ("crates/exec/src/event_loop.rs", "step_conn"),
 ];
 
 /// Method names consumed as primitives (lock/blocking events), never

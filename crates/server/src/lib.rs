@@ -16,9 +16,8 @@
 //! * [`server`] — the serving loop ([`server::serve`]) that dispatches
 //!   requests against any local store (mem, disk or rel backend);
 //! * [`multi`] — [`serve_multi`]: one process hosting N shard servers on
-//!   N ports with a single nonblocking event loop (`exec::EventLoop`)
-//!   for all connections and one persistent executor worker per shard —
-//!   no thread per connection;
+//!   N ports, one accept thread per port and one thread per connection
+//!   running the same session loop as [`server::serve`];
 //! * [`client`] — [`client::RemoteStore`], a full `HyperStore` backed by
 //!   the wire, in two modes: [`client::ClosureMode::ClientSide`]
 //!   traverses with one round trip per relationship access;

@@ -1,4 +1,8 @@
 //! The serving loop: dispatch decoded requests against a local store.
+//!
+//! [`session`] is the one session loop: [`serve`] runs it against a
+//! store it owns, [`crate::serve_multi`] on a thread per connection
+//! against a shared shard.
 
 use hypermodel::error::Result;
 use hypermodel::store::HyperStore;
@@ -16,12 +20,16 @@ pub struct SessionStats {
     /// Tagged requests answered from the dedup cache without
     /// re-executing (retries whose first response was lost).
     pub replayed: u64,
+    /// Frames received, decodable or not.
+    pub frames: u64,
+    /// Responses sent.
+    pub replies: u64,
 }
 
 /// Consecutive malformed frames tolerated before the server drops the
 /// connection. A client with a framing bug gets a few error responses
 /// to diagnose with; a firehose of garbage gets disconnected.
-pub(crate) const MAX_GARBAGE_STREAK: u32 = 8;
+pub const MAX_GARBAGE_STREAK: u32 = 8;
 
 /// Remembers the responses of recently-executed [`Request::Tagged`]
 /// requests so a retried mutation applies **at most once**: when the
@@ -205,6 +213,55 @@ pub fn serve_with_cache<S: HyperStore + ?Sized>(
     cache: &mut DedupCache,
 ) -> Result<SessionStats> {
     let mut stats = SessionStats::default();
+    session(transport, Local { store, cache }, &mut stats)?;
+    Ok(stats)
+}
+
+/// How a session runs the requests it decodes: the one thing a
+/// single-store server and a [`crate::serve_multi`] shard session do
+/// differently. Framing, the garbage-streak rule, `Shutdown`, dedup
+/// replay, statistics and the `loop.*` metrics all belong to
+/// [`session`].
+pub(crate) trait Execute {
+    /// Run `req` against the store (never `Shutdown`, never a replayed
+    /// tagged request).
+    fn execute(&mut self, req: Request) -> Response;
+    /// Run `f` on the dedup cache of tagged responses.
+    fn with_cache<R>(&mut self, f: impl FnOnce(&mut DedupCache) -> R) -> R;
+}
+
+/// A store and dedup cache owned by one session's caller.
+struct Local<'a, S: ?Sized> {
+    store: &'a mut S,
+    cache: &'a mut DedupCache,
+}
+
+impl<S: HyperStore + ?Sized> Execute for Local<'_, S> {
+    fn execute(&mut self, req: Request) -> Response {
+        dispatch(self.store, req)
+    }
+
+    fn with_cache<R>(&mut self, f: impl FnOnce(&mut DedupCache) -> R) -> R {
+        f(self.cache)
+    }
+}
+
+/// The session loop: read a frame, decode it, answer it, until the
+/// client sends [`Request::Shutdown`], disconnects, or sends
+/// [`MAX_GARBAGE_STREAK`] undecodable frames in a row. `stats` is
+/// updated as the session goes, so it stays accurate when a transport
+/// error ends the session early.
+///
+/// Every frame bumps the `loop.frames` counter and is timed by a
+/// `loop.frame` span from frame in hand to request handed to `exec`
+/// (or answered without it); the store call and the reply write are
+/// outside the span.
+pub(crate) fn session(
+    transport: &mut dyn Transport,
+    mut exec: impl Execute,
+    stats: &mut SessionStats,
+) -> Result<()> {
+    let frames = obs::enabled().then(|| obs::registry().counter("loop.frames"));
     let mut garbage_streak = 0u32;
     // One receive buffer and one encode scratch for the whole session:
     // the steady-state loop allocates only inside dispatch itself.
@@ -212,8 +269,13 @@ pub fn serve_with_cache<S: HyperStore + ?Sized>(
     let mut out = Vec::new();
     loop {
         if !transport.recv_into(&mut frame)? {
-            return Ok(stats); // clean disconnect
+            return Ok(()); // clean disconnect
         }
+        stats.frames += 1;
+        if let Some(c) = &frames {
+            c.incr();
+        }
+        let span = obs::trace::span("loop.frame");
         let req = match Request::decode(&frame) {
             Ok(r) => {
                 garbage_streak = 0;
@@ -229,32 +291,42 @@ pub fn serve_with_cache<S: HyperStore + ?Sized>(
                         "server: dropping connection after {garbage_streak} \
                          consecutive malformed frames (last: {e})"
                     );
-                    return Ok(stats);
+                    return Ok(());
                 }
                 out.clear();
                 Response::Err(e.to_string()).encode_into(&mut out);
-                transport.send(&out)?;
+                drop(span);
+                reply(transport, &out, stats)?;
                 continue;
             }
         };
         if req == Request::Shutdown {
             out.clear();
             Response::Unit.encode_into(&mut out);
-            transport.send(&out)?;
-            return Ok(stats);
-        }
-        if let Request::Tagged(id, _) = &req {
-            if let Some(bytes) = cache.lookup(*id) {
-                stats.replayed += 1;
-                transport.send(bytes)?;
-                continue;
-            }
+            drop(span);
+            reply(transport, &out, stats)?;
+            return Ok(());
         }
         let remember_as = match &req {
             Request::Tagged(id, _) => Some(*id),
             _ => None,
         };
-        let resp = dispatch(store, req);
+        if let Some(id) = remember_as {
+            let replayed = exec.with_cache(|cache| {
+                let bytes = cache.lookup(id)?;
+                out.clear();
+                out.extend_from_slice(bytes);
+                Some(())
+            });
+            if replayed.is_some() {
+                stats.replayed += 1;
+                drop(span);
+                reply(transport, &out, stats)?;
+                continue;
+            }
+        }
+        drop(span);
+        let resp = exec.execute(req);
         if matches!(resp, Response::Err(_)) {
             stats.errors += 1;
         }
@@ -262,10 +334,16 @@ pub fn serve_with_cache<S: HyperStore + ?Sized>(
         out.clear();
         resp.encode_into(&mut out);
         if let Some(id) = remember_as {
-            cache.remember(id, out.clone());
+            exec.with_cache(|cache| cache.remember(id, out.clone()));
         }
-        transport.send(&out)?;
+        reply(transport, &out, stats)?;
     }
+}
+
+fn reply(transport: &mut dyn Transport, payload: &[u8], stats: &mut SessionStats) -> Result<()> {
+    transport.send(payload)?;
+    stats.replies += 1;
+    Ok(())
 }
 
 #[cfg(test)]

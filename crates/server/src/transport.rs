@@ -1,7 +1,7 @@
 //! Message transports: in-process channels and TCP.
 //!
 //! Both carry length-prefixed frames (`u32` length + `u64` trace id +
-//! payload, matching `exec::EventLoop`'s framing) so the marshalling
+//! payload; [`FrameCodec`] is the workspace's only framer) so the marshalling
 //! cost is identical; the channel transport adds an optional simulated
 //! one-way latency per frame, letting experiments model the paper's
 //! local-area-network workstation/server setups without real network
@@ -22,14 +22,12 @@ use std::time::Duration;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hypermodel::error::{HmError, Result};
 
-/// Largest accepted frame payload on the client side. `hyperlint`
-/// (rule `frame-cap`) keeps this textually identical to the server-side
-/// cap in `exec/src/event_loop.rs`.
+/// Largest accepted frame payload, on both client and server.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Bytes of the frame header carrying the trace id (kept equal to
-/// `exec::TRACE_HEADER`; both sides slice the same frames).
-const TRACE_HEADER: usize = 8;
+/// Bytes of the frame header carrying the trace id, counted in the
+/// length prefix ahead of the payload.
+pub const TRACE_HEADER: usize = 8;
 
 /// A bidirectional, framed message pipe.
 pub trait Transport: Send {
@@ -82,8 +80,8 @@ pub trait Transport: Send {
 
 /// Cached handles for the process-wide wire-traffic counters, resolved
 /// once per connection so the hot path pays one relaxed add, not a
-/// registry lookup. All framed byte streams (client transports and the
-/// server event loop) feed the same three names.
+/// registry lookup. Every framed byte stream, client or server side,
+/// feeds the same three names.
 pub struct NetCounters {
     handles: Option<(Arc<obs::Counter>, Arc<obs::Counter>, Arc<obs::Counter>)>,
 }

@@ -15,7 +15,7 @@
 //! shard per operation before the executor existed; point operations
 //! skip the queue entirely and lock the owning shard directly.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -1465,10 +1465,13 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             for (&o, list) in frontier.iter().zip(lists) {
                 cache.insert(o, list);
             }
+            // `next` keeps discovery order; `queued` only answers
+            // membership, so a wide level costs linear time, not quadratic.
             let mut next = Vec::new();
+            let mut queued = HashSet::new();
             for o in &frontier {
                 for &t in &cache[o] {
-                    if !cache.contains_key(&t) && !next.contains(&t) {
+                    if !cache.contains_key(&t) && queued.insert(t) {
                         next.push(t);
                     }
                 }
@@ -1496,9 +1499,10 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
                 cache.insert(o, list);
             }
             let mut next = Vec::new();
+            let mut queued = HashSet::new();
             for o in &frontier {
                 for e in &cache[o] {
-                    if !cache.contains_key(&e.target) && !next.contains(&e.target) {
+                    if !cache.contains_key(&e.target) && queued.insert(e.target) {
                         next.push(e.target);
                     }
                 }
@@ -2184,9 +2188,10 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
             }
             let lists = self.children_batch(&expand)?;
             let mut next = Vec::new();
+            let mut queued = HashSet::new();
             for (&o, list) in expand.iter().zip(lists) {
                 for &t in &list {
-                    if !million.contains_key(&t) && !next.contains(&t) {
+                    if !million.contains_key(&t) && queued.insert(t) {
                         next.push(t);
                     }
                 }

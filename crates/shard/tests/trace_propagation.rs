@@ -1,6 +1,6 @@
 //! End-to-end trace propagation: one trace id minted on the client
 //! thread must reappear on every hop of a cross-shard operation —
-//! the client call site, the server event loop's frame dispatch, and
+//! the client call site, the server session loop's frame handling, and
 //! the shard executor's worker — stitched together by the 8-byte trace
 //! field in the wire frame header and the executor's job capture.
 

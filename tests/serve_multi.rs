@@ -1,25 +1,35 @@
-//! One process, N shard servers: conformance and concurrency tests for
-//! `server::serve_multi`, the nonblocking event-loop deployment.
+//! One process, N shard servers: conformance, concurrency, hostile-frame,
+//! poison and shutdown tests for `server::serve_multi`.
 //!
-//! The first test is the acceptance criterion for the executor/event-loop
-//! subsystem: a *single* `serve_multi` process hosting four shards, with
-//! a `connect_sharded` router in front, must answer every operation
+//! The first test is the acceptance criterion for the multi-shard
+//! server: a *single* `serve_multi` process hosting four shards, with a
+//! `connect_sharded` router in front, must answer every operation
 //! identically to the oracle — same bar the in-process backends clear in
 //! `cross_backend.rs`. The second drives two concurrent clients (one
 //! behind a deliberately slow transport) through all 20 operations
-//! against one process, proving the loop never blocks on a slow reader.
+//! against one process. The rest check that a hostile client or a
+//! panicking store costs only its own connection or shard, and that
+//! `MultiServer::stop` closes idle connections and joins every thread.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 use harness::protocol::{run_all_ops, RunOptions};
 use harness::Workload;
 use hypermodel::config::GenConfig;
+use hypermodel::error::{HmError, Result};
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
-use hypermodel::model::Oid;
+use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::oracle::Oracle;
 use hypermodel::store::HyperStore;
+use hypermodel::Bitmap;
 use mem_backend::MemStore;
+use server::protocol::{Request, Response};
+use server::server::MAX_GARBAGE_STREAK;
+use server::transport::TRACE_HEADER;
 use server::{serve_multi, ClosureMode, RemoteStore, TcpTransport, Transport};
 use shard::{connect_sharded, Placement};
 
@@ -197,13 +207,10 @@ fn one_process_four_shards_matches_oracle() {
     drop(s);
 
     let stats = ms.stop().unwrap();
-    assert_eq!(stats.loop_stats.accepted, 4, "one connection per shard");
+    assert_eq!(stats.accepted, 4, "one connection per shard");
     assert!(stats.requests > 0);
     assert_eq!(stats.errors, 0, "conformance run must be error-free");
-    assert_eq!(
-        stats.loop_stats.frames, stats.loop_stats.replies,
-        "every frame answered"
-    );
+    assert_eq!(stats.frames, stats.replies, "every frame answered");
 }
 
 /// A transport that dawdles before reading each response, simulating a
@@ -214,14 +221,14 @@ struct SlowTransport {
 }
 
 impl Transport for SlowTransport {
-    fn send(&mut self, frame: &[u8]) -> hypermodel::error::Result<()> {
+    fn send(&mut self, frame: &[u8]) -> Result<()> {
         self.inner.send(frame)
     }
-    fn recv(&mut self) -> hypermodel::error::Result<Option<Vec<u8>>> {
+    fn recv(&mut self) -> Result<Option<Vec<u8>>> {
         std::thread::sleep(self.delay);
         self.inner.recv()
     }
-    fn recv_timeout(&mut self, timeout: Duration) -> hypermodel::error::Result<Option<Vec<u8>>> {
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>> {
         std::thread::sleep(self.delay);
         self.inner.recv_timeout(timeout)
     }
@@ -229,10 +236,8 @@ impl Transport for SlowTransport {
 
 /// Two concurrent clients against one two-shard `serve_multi` process,
 /// each driving the full 20-operation benchmark protocol on its own
-/// shard. One client reads its responses slowly: the event loop must
-/// keep serving the fast client at full speed regardless (a blocking
-/// thread-per-connection server would too — the point is the *single*
-/// loop thread may not stall on the laggard's socket).
+/// shard. One client reads its responses slowly: the server must keep
+/// serving the fast client at full speed regardless.
 #[test]
 fn two_concurrent_clients_one_slow_run_all_20_ops() {
     let db = TestDatabase::generate(&GenConfig::tiny());
@@ -296,7 +301,220 @@ fn two_concurrent_clients_one_slow_run_all_20_ops() {
     }
 
     let stats = ms.stop().unwrap();
-    assert_eq!(stats.loop_stats.accepted, 2);
+    assert_eq!(stats.accepted, 2);
     assert!(stats.requests > 0);
     assert_eq!(stats.errors, 0);
+}
+
+/// Send one request over `t` and decode the reply.
+fn call(t: &mut TcpTransport, req: &Request) -> Response {
+    t.send(&req.encode()).unwrap();
+    Response::decode(&t.recv().unwrap().expect("reply")).unwrap()
+}
+
+/// A raw client socket whose reads fail after a while instead of hanging
+/// the test when the server never answers or hangs up.
+fn dial(addr: std::net::SocketAddr) -> TcpStream {
+    let s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    s
+}
+
+fn connect(addr: std::net::SocketAddr) -> TcpTransport {
+    TcpTransport::new(dial(addr)).unwrap()
+}
+
+/// Write `bytes` in one call, then expect the server to hang up without
+/// a reply.
+fn expect_hangup(addr: std::net::SocketAddr, bytes: &[u8]) {
+    let mut c = dial(addr);
+    c.write_all(bytes).unwrap();
+    let mut probe = [0u8; 1];
+    assert_eq!(c.read(&mut probe).unwrap(), 0, "server hung up");
+}
+
+#[test]
+fn oversized_frame_drops_the_connection() {
+    let ms = serve_multi(vec![MemStore::new()]).unwrap();
+    // A length prefix claiming 1 GiB: unframeable, connection dropped.
+    let mut bytes = (1u32 << 30).to_le_bytes().to_vec();
+    bytes.extend_from_slice(b"junk");
+    expect_hangup(ms.addrs()[0], &bytes);
+    let stats = ms.stop().unwrap();
+    assert_eq!(stats.accepted, 1);
+    assert_eq!(stats.frames, 0);
+}
+
+#[test]
+fn length_prefix_below_trace_header_drops_the_connection() {
+    let ms = serve_multi(vec![MemStore::new()]).unwrap();
+    // Too short to hold even the trace id.
+    let short = TRACE_HEADER - 1;
+    let mut bytes = (short as u32).to_le_bytes().to_vec();
+    bytes.extend_from_slice(&vec![0u8; short]);
+    expect_hangup(ms.addrs()[0], &bytes);
+    let stats = ms.stop().unwrap();
+    assert_eq!(stats.accepted, 1);
+    assert_eq!(stats.frames, 0);
+}
+
+/// A garbage firehose closes only its own connection: a second client of
+/// the same shard is answered before, during and after.
+#[test]
+fn garbage_streak_closes_only_that_connection() {
+    let ms = serve_multi(vec![MemStore::new()]).unwrap();
+    let addr = ms.addrs()[0];
+    let mut bad = connect(addr);
+    let mut good = connect(addr);
+    let garbage = [255u8, 0, 1];
+    for i in 1..=MAX_GARBAGE_STREAK {
+        bad.send(&garbage).unwrap();
+        if i < MAX_GARBAGE_STREAK {
+            let resp = Response::decode(&bad.recv().unwrap().unwrap()).unwrap();
+            assert!(matches!(resp, Response::Err(_)), "frame {i}: {resp:?}");
+        }
+        assert_eq!(call(&mut good, &Request::SeqScanTen), Response::U64(0));
+    }
+    assert_eq!(bad.recv().unwrap(), None, "server hung up on the firehose");
+    assert_eq!(call(&mut good, &Request::SeqScanTen), Response::U64(0));
+    drop(good);
+
+    let stats = ms.stop().unwrap();
+    let streak = u64::from(MAX_GARBAGE_STREAK);
+    assert_eq!(stats.accepted, 2);
+    assert_eq!(stats.errors, streak);
+    assert_eq!(stats.requests, streak + 1);
+    assert_eq!(stats.frames, 2 * streak + 1);
+    assert_eq!(
+        stats.replies,
+        stats.frames - 1,
+        "the last garbage frame is not answered"
+    );
+}
+
+/// A store holding no data, for the poison and shutdown tests: every
+/// primitive fails, except `seq_scan_ten`, which panics or answers 7.
+/// `_live` counts the stores still alive.
+struct Probe {
+    panics: bool,
+    _live: Arc<()>,
+}
+
+macro_rules! no_data {
+    ($(fn $name:ident(&mut self $(, $arg:ident: $ty:ty)*) -> $ret:ty;)*) => {$(
+        fn $name(&mut self $(, $arg: $ty)*) -> $ret {
+            Err(HmError::Backend("probe store holds no data".into()))
+        }
+    )*};
+}
+
+impl HyperStore for Probe {
+    no_data! {
+        fn lookup_unique(&mut self, _uid: u64) -> Result<Oid>;
+        fn unique_id_of(&mut self, _o: Oid) -> Result<u64>;
+        fn kind_of(&mut self, _o: Oid) -> Result<NodeKind>;
+        fn ten_of(&mut self, _o: Oid) -> Result<u32>;
+        fn hundred_of(&mut self, _o: Oid) -> Result<u32>;
+        fn million_of(&mut self, _o: Oid) -> Result<u32>;
+        fn set_hundred(&mut self, _o: Oid, _v: u32) -> Result<()>;
+        fn range_hundred(&mut self, _lo: u32, _hi: u32) -> Result<Vec<Oid>>;
+        fn range_million(&mut self, _lo: u32, _hi: u32) -> Result<Vec<Oid>>;
+        fn children(&mut self, _o: Oid) -> Result<Vec<Oid>>;
+        fn parent(&mut self, _o: Oid) -> Result<Option<Oid>>;
+        fn parts(&mut self, _o: Oid) -> Result<Vec<Oid>>;
+        fn part_of(&mut self, _o: Oid) -> Result<Vec<Oid>>;
+        fn refs_to(&mut self, _o: Oid) -> Result<Vec<RefEdge>>;
+        fn refs_from(&mut self, _o: Oid) -> Result<Vec<RefEdge>>;
+        fn text_of(&mut self, _o: Oid) -> Result<String>;
+        fn set_text(&mut self, _o: Oid, _t: &str) -> Result<()>;
+        fn form_of(&mut self, _o: Oid) -> Result<Bitmap>;
+        fn set_form(&mut self, _o: Oid, _b: &Bitmap) -> Result<()>;
+        fn create_node(&mut self, _v: &NodeValue) -> Result<Oid>;
+        fn add_child(&mut self, _p: Oid, _c: Oid) -> Result<()>;
+        fn add_part(&mut self, _o: Oid, _p: Oid) -> Result<()>;
+        fn add_ref(&mut self, _f: Oid, _t: Oid, _of: u8, _ot: u8) -> Result<()>;
+        fn insert_extra_node(&mut self, _v: &NodeValue) -> Result<Oid>;
+        fn commit(&mut self) -> Result<()>;
+        fn cold_restart(&mut self) -> Result<()>;
+    }
+
+    fn seq_scan_ten(&mut self) -> Result<u64> {
+        assert!(!self.panics, "probe store panics on request");
+        Ok(7)
+    }
+
+    fn backend_name(&self) -> &'static str {
+        "probe"
+    }
+}
+
+fn probes(panics: &[bool], live: &Arc<()>) -> Vec<Probe> {
+    panics
+        .iter()
+        .map(|&panics| Probe {
+            panics,
+            _live: Arc::clone(live),
+        })
+        .collect()
+}
+
+fn is_poisoned(resp: &Response) -> bool {
+    matches!(resp, Response::Err(m) if m.contains("shard 0 unavailable") && m.contains("poisoned"))
+}
+
+#[test]
+fn panicking_request_poisons_only_its_shard() {
+    let live = Arc::new(());
+    let ms = serve_multi(probes(&[true, false], &live)).unwrap();
+    let mut c0 = connect(ms.addrs()[0]);
+    let mut c1 = connect(ms.addrs()[1]);
+
+    // The panicking request itself is answered, with the structured error.
+    let resp = call(&mut c0, &Request::SeqScanTen);
+    assert!(is_poisoned(&resp), "{resp:?}");
+    // Later requests to shard 0 never reach the store, on any connection.
+    let resp = call(&mut c0, &Request::TenOf(Oid(1)));
+    assert!(is_poisoned(&resp), "{resp:?}");
+    let resp = call(&mut connect(ms.addrs()[0]), &Request::TenOf(Oid(1)));
+    assert!(is_poisoned(&resp), "{resp:?}");
+    // Shard 1 still answers.
+    assert_eq!(call(&mut c1, &Request::SeqScanTen), Response::U64(7));
+    drop((c0, c1));
+
+    let stats = ms.stop().unwrap();
+    assert_eq!(stats.accepted, 3);
+    assert_eq!(stats.requests, 4);
+    assert_eq!(stats.errors, 3);
+    assert_eq!(stats.frames, stats.replies);
+}
+
+/// `stop` with idle clients still connected closes their connections,
+/// joins every thread and drops every store, promptly.
+#[test]
+fn stop_with_idle_connections_joins_every_thread() {
+    let live = Arc::new(());
+    let ms = serve_multi(probes(&[false, false], &live)).unwrap();
+    let mut idle: Vec<TcpStream> = [0, 0, 1].iter().map(|&i| dial(ms.addrs()[i])).collect();
+    // One client mid-session: served once, then idle.
+    let mut busy = connect(ms.addrs()[1]);
+    assert_eq!(call(&mut busy, &Request::SeqScanTen), Response::U64(7));
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(ms.stop()).unwrap());
+    let stats = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("stop returned promptly")
+        .unwrap();
+    assert_eq!(stats.accepted, 4);
+    assert_eq!(stats.requests, 1);
+    assert_eq!(Arc::strong_count(&live), 1, "every store dropped");
+    for c in &mut idle {
+        let mut probe = [0u8; 1];
+        assert_eq!(
+            c.read(&mut probe).unwrap(),
+            0,
+            "server closed the idle client"
+        );
+    }
+    assert_eq!(busy.recv().unwrap(), None);
 }
