@@ -8,8 +8,11 @@
 //! poisons only the offending shard; [`Batch`] gives scope-style
 //! fan-out/join with an optional shared deadline.
 //!
-//! `shard::ShardedStore` routes every fan-out, level-batched closure,
-//! and parallel 2PC prepare through the pool. The wire server
+//! `shard::ShardedStore` routes every operation through the pool: point
+//! operations through [`ShardExecutor::run_on`] (inline on the caller's
+//! thread unless jobs are pending on the shard), fan-outs,
+//! level-batched closures and parallel 2PC prepare as one job per
+//! involved shard. The wire server
 //! (`server::serve_multi`) does not use it: a request runs on its
 //! connection's thread.
 

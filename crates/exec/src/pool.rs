@@ -10,11 +10,14 @@
 //!
 //! Ownership: the executor owns each shard behind an `Arc<Mutex<S>>`.
 //! Jobs submitted through [`ShardExecutor::submit`] run on the shard's
-//! worker thread; [`ShardExecutor::with_shard`] locks the shard directly
-//! on the calling thread for point operations, where a queue hop would
-//! *add* latency rather than remove it. Per-shard FIFO order holds for
-//! submitted jobs; a direct `with_shard` call serializes with running
-//! jobs through the mutex.
+//! worker thread in per-shard FIFO order. [`ShardExecutor::run_on`] is
+//! the point-operation call: when no submitted job is still unfinished
+//! on the shard it locks the backend on the calling thread, where a
+//! queue hop would *add* latency rather than remove it; otherwise it
+//! queues behind those jobs and waits, so it always observes their
+//! effects. [`ShardExecutor::with_shard`] is the raw accessor for
+//! instrumentation: it locks the shard directly, ignoring queue and
+//! poison.
 //!
 //! Panic isolation: a panicking job poisons only its own shard — the
 //! worker survives (the panic is caught), the shard is flagged, and
@@ -85,11 +88,11 @@ impl ExecError {
 }
 
 /// The body of a [`Job`]: boxed work receiving the shard *mutex*, not a
-/// guard — it locks only around the caller's closure and reports its
-/// result (one-shot send) after the lock is
-/// released, so results never travel over a channel while the shard is
-/// locked.
-type JobFn<S> = Box<dyn FnOnce(&Mutex<S>) + Send>;
+/// guard — it locks only around the caller's closure, marks itself
+/// finished in the shard's [`SlotLoad`], and reports its result
+/// (one-shot send) after the lock is released, so results never travel
+/// over a channel while the shard is locked.
+type JobFn<S> = Box<dyn FnOnce(&Mutex<S>, &SlotLoad) + Send>;
 
 /// A unit of work for a shard worker. Besides the body, it carries the
 /// submitter's trace id (reinstalled on the worker for its duration)
@@ -107,7 +110,12 @@ const EWMA_SHIFT: u32 = 3;
 /// Per-shard load counters shared between the worker and observers.
 #[derive(Default)]
 struct SlotLoad {
-    /// Jobs enqueued but not yet picked up by the worker.
+    /// Jobs submitted and not yet finished: queued, or running on the
+    /// worker. Dropped only once a job's effect is in place (before its
+    /// result is reported), so a zero here tells [`ShardExecutor::run_on`]
+    /// that running inline cannot overtake a submitted job. The drop is a
+    /// `Release` that pairs with `run_on`'s `Acquire` load; increments
+    /// are `Relaxed`, as only the submitting thread relies on them.
     depth: AtomicUsize,
     /// EWMA of job execution time (shard lock held), microseconds.
     busy_ewma_us: AtomicU64,
@@ -211,11 +219,11 @@ impl<S> ShardExecutor<S> {
                         let wait_hist = obs::registry().histogram("exec.dispatch_wait_us");
                         let jobs_ctr = obs::registry().counter("exec.jobs");
                         while let Ok(job) = rx.recv() {
-                            worker_load.depth.fetch_sub(1, Ordering::Relaxed);
                             if worker_poison.load(Ordering::SeqCst) {
                                 // Dropping the job without running it drops
                                 // its one-shot sender; the waiter observes
                                 // the poison flag and reports `Poisoned`.
+                                worker_load.depth.fetch_sub(1, Ordering::Release);
                                 continue;
                             }
                             if obs::enabled() {
@@ -231,7 +239,8 @@ impl<S> ShardExecutor<S> {
                             // poison flag *before* dropping their one-shot
                             // sender); this is only a backstop.
                             let run = job.run;
-                            let ran = catch_unwind(AssertUnwindSafe(|| run(&worker_store)));
+                            let ran =
+                                catch_unwind(AssertUnwindSafe(|| run(&worker_store, &worker_load)));
                             worker_load.observe_busy(started.elapsed().as_micros() as u64);
                             if ran.is_err() {
                                 worker_poison.store(true, Ordering::SeqCst);
@@ -261,8 +270,8 @@ impl<S> ShardExecutor<S> {
         self.slots[shard].poisoned.load(Ordering::SeqCst)
     }
 
-    /// Jobs currently enqueued for `shard` and not yet picked up by its
-    /// worker.
+    /// Jobs submitted to `shard` and not yet finished: the queued ones
+    /// plus the one its worker is running.
     pub fn queue_depth(&self, shard: usize) -> usize {
         self.slots[shard].load.depth.load(Ordering::Relaxed)
     }
@@ -274,8 +283,9 @@ impl<S> ShardExecutor<S> {
         self.slots[shard].load.busy_ewma_us.load(Ordering::Relaxed)
     }
 
-    /// Jobs executed on `shard`'s worker so far (direct
-    /// [`ShardExecutor::with_shard`] calls not included).
+    /// Jobs executed on `shard`'s worker so far (calls run on the
+    /// caller's thread by [`ShardExecutor::run_on`] or
+    /// [`ShardExecutor::with_shard`] not included).
     pub fn jobs_run(&self, shard: usize) -> u64 {
         self.slots[shard].load.jobs.load(Ordering::Relaxed)
     }
@@ -309,26 +319,27 @@ impl<S> ShardExecutor<S> {
         }
         let (done, rx) = sync_channel::<T>(1);
         let poison = Arc::clone(&slot.poisoned);
-        let run: JobFn<S> = Box::new(move |store: &Mutex<S>| {
+        let run: JobFn<S> = Box::new(move |store: &Mutex<S>, load: &SlotLoad| {
             let out = catch_unwind(AssertUnwindSafe(|| {
                 let mut guard = store.lock();
                 f(&mut guard)
                 // Guard drops here: the result is reported below with
                 // the shard unlocked.
             }));
-            match out {
-                // The waiter may have given up (deadline) — a send
-                // failure just means nobody is listening any more.
-                Ok(v) => {
-                    let _ = done.send(v);
-                }
-                // Set the flag before `done` drops so a waiter woken by
-                // the disconnect always classifies it as `Poisoned`,
-                // never a spurious `Shutdown`.
-                Err(_) => {
-                    poison.store(true, Ordering::SeqCst);
-                    drop(done);
-                }
+            // Set the flag before `done` drops so a waiter woken by the
+            // disconnect always classifies it as `Poisoned`, never a
+            // spurious `Shutdown` — and before the job counts as
+            // finished, so an inline `run_on` fails fast too.
+            if out.is_err() {
+                poison.store(true, Ordering::SeqCst);
+            }
+            // Finished before reported: a caller that got this result
+            // and calls `run_on` next runs inline.
+            load.depth.fetch_sub(1, Ordering::Release);
+            // The waiter may have given up (deadline) — a send failure
+            // just means nobody is listening any more.
+            if let Ok(v) = out {
+                let _ = done.send(v);
             }
         });
         self.enqueue(shard, run)?;
@@ -339,10 +350,44 @@ impl<S> ShardExecutor<S> {
         })
     }
 
-    /// Lock `shard`'s backend on the *calling* thread and run `f`. This
-    /// is the point-operation path: no queue hop, no boxing — an
-    /// uncontended mutex acquisition. Serializes with the shard's worker
-    /// through the same mutex, so job FIFO effects stay visible.
+    /// Run `f` on `shard`, after every job already submitted there.
+    ///
+    /// When no submitted job is still unfinished on `shard`, `f` runs on
+    /// the *calling* thread under the shard lock: no queue hop, no
+    /// boxing, no allocation — the point-operation path. Otherwise `f`
+    /// queues behind those jobs exactly as [`ShardExecutor::submit`] and
+    /// the call waits for it. Either way it fails fast on a poisoned
+    /// shard, and a panic in `f` poisons the shard as a panicking job
+    /// does. An inline run is a direct call, not a job: it adds no
+    /// `exec.jobs` count, dispatch-wait sample or `exec.job` span.
+    pub fn run_on<T, F>(&self, shard: usize, f: F) -> Result<T, ExecError>
+    where
+        T: Send + 'static,
+        F: FnOnce(&mut S) -> T + Send + 'static,
+    {
+        let slot = match self.slots.get(shard) {
+            Some(slot) if slot.load.depth.load(Ordering::Acquire) == 0 => slot,
+            // Behind unfinished jobs (or no such shard, which `submit`
+            // reports as loudly as every other accessor).
+            _ => return self.submit(shard, f).and_then(JobHandle::wait),
+        };
+        if slot.poisoned.load(Ordering::SeqCst) {
+            return Err(ExecError::Poisoned(shard));
+        }
+        let mut guard = slot.store.lock();
+        match catch_unwind(AssertUnwindSafe(|| f(&mut guard))) {
+            Ok(v) => Ok(v),
+            Err(_) => {
+                slot.poisoned.store(true, Ordering::SeqCst);
+                Err(ExecError::Poisoned(shard))
+            }
+        }
+    }
+
+    /// Lock `shard`'s backend on the *calling* thread and run `f`,
+    /// regardless of queued jobs or poison: the raw accessor for
+    /// instrumentation (round-trip counters, fault plans) and recovery
+    /// probes. Serializes with a running job through the same mutex.
     pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut S) -> R) -> R {
         let mut guard = self.slots[shard].store.lock();
         f(&mut guard)

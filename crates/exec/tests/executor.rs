@@ -1,5 +1,6 @@
 //! Executor-pool edge cases: panic isolation, graceful shutdown with
-//! queued jobs, submit-after-shutdown, and deadline misses.
+//! queued jobs, submit-after-shutdown, deadline misses, and `run_on`
+//! choosing between the caller's thread and the queue.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -141,5 +142,49 @@ fn batch_join_within_shares_one_deadline() {
         joined[2].1,
         Ok(2),
         "fast shards are unaffected by the slow one"
+    );
+}
+
+#[test]
+fn run_on_runs_inline_when_idle_and_queues_behind_unfinished_jobs() {
+    let exec = ShardExecutor::new(vec![0u64]);
+    let bump = |v: &mut u64| {
+        *v += 1;
+        *v
+    };
+    assert_eq!(exec.run_on(0, bump), Ok(1));
+    assert_eq!(exec.jobs_run(0), 0, "an idle shard runs the call inline");
+
+    // Hold a job on the worker; the call must queue behind it and see
+    // its effect.
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    let held = exec
+        .submit(0, move |v: &mut u64| {
+            gate.recv().unwrap();
+            *v = 10;
+        })
+        .unwrap();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Release the held job once the call below is queued behind it.
+            while exec.queue_depth(0) < 2 {
+                std::thread::yield_now();
+            }
+            release.send(()).unwrap();
+        });
+        assert_eq!(exec.run_on(0, |v: &mut u64| *v), Ok(10));
+    });
+    held.wait().unwrap();
+    assert_eq!(exec.queue_depth(0), 0, "finished jobs leave the count");
+
+    // A panic poisons the shard exactly as a panicking job does.
+    let err = exec.run_on(0, |_: &mut u64| -> u64 { panic!("injected call panic") });
+    assert_eq!(err, Err(ExecError::Poisoned(0)));
+    assert!(exec.is_poisoned(0));
+    assert_eq!(exec.run_on(0, bump), Err(ExecError::Poisoned(0)));
+    assert_eq!(
+        exec.with_shard(0, |v| *v),
+        10,
+        "the panicking call wrote nothing"
     );
 }

@@ -87,6 +87,7 @@ const PANIC_ROOTS: &[(&str, &str)] = &[
     ("crates/server/src/multi.rs", "serve_conn"),
     ("crates/server/src/multi.rs", "execute"),
     ("crates/exec/src/pool.rs", "submit"),
+    ("crates/exec/src/pool.rs", "run_on"),
     ("crates/exec/src/pool.rs", "with_shard"),
 ];
 

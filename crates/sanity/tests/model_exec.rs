@@ -8,9 +8,12 @@
 //!   producer vs. worker;
 //! * a panicking job publishes the poison flag *before* its result
 //!   channel closes, so the waiter always classifies `Poisoned` — and
-//!   the reversed (pre-fix) ordering is caught by the explorer.
+//!   the reversed (pre-fix) ordering is caught by the explorer;
+//! * a `run_on` call issued after a submitted job observes that job's
+//!   effect, whether it runs on the caller's thread or queues — and
+//!   counting the job finished when it is *dequeued* is caught.
 
-use sanity::dsched::{self, Explorer, FailureKind, Sim, TryRecv};
+use sanity::dsched::{self, Explorer, FailureKind, Sim, SimSender, TryRecv};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -131,6 +134,92 @@ fn close_before_poison_misclassifies_and_is_caught() {
     assert!(report.failures[0]
         .message
         .contains("classified Shutdown for a poisoned shard"));
+}
+
+/// A job for the `run_on` model's worker.
+enum Job {
+    /// A submitted write of this value, not waited for.
+    Write(u32),
+    /// `run_on`'s queued route: read the state behind pending jobs.
+    Read(SimSender<u32>),
+}
+
+/// Model of `exec::pool::ShardExecutor::run_on` after `submit`: the
+/// caller submits a write without waiting, then calls `run_on`, which
+/// reads on the caller's thread when the shard's unfinished-job count
+/// is zero and otherwise queues a read behind the pending jobs. With
+/// `count_at_completion` the worker drops the count once the job's
+/// effect is in place, as the executor does; without it the count drops
+/// when the job is dequeued, so an inline read can overtake the write.
+fn run_on_model(sim: &Sim, count_at_completion: bool) {
+    let state = sim.mutex(0u32);
+    let depth = Arc::new(AtomicUsize::new(0));
+    let (tx, rx) = sim.channel::<Job>(None);
+    let (worker_state, worker_depth, wsim) = (state.clone(), depth.clone(), sim.clone());
+    let worker = sim.spawn(move || {
+        while let Some(job) = rx.recv() {
+            if !count_at_completion {
+                // BUG: dequeued is not finished.
+                worker_depth.fetch_sub(1, Ordering::SeqCst);
+                wsim.schedule_point();
+            }
+            let read = match job {
+                Job::Write(v) => {
+                    *worker_state.lock() = v;
+                    None
+                }
+                Job::Read(reply) => Some((*worker_state.lock(), reply)),
+            };
+            if count_at_completion {
+                wsim.schedule_point();
+                worker_depth.fetch_sub(1, Ordering::SeqCst);
+            }
+            if let Some((v, reply)) = read {
+                reply.send(v);
+            }
+        }
+    });
+
+    // submit(write 1), not waited for.
+    depth.fetch_add(1, Ordering::SeqCst);
+    assert!(tx.send(Job::Write(1)));
+    sim.schedule_point();
+    // run_on(read).
+    let seen = if depth.load(Ordering::SeqCst) == 0 {
+        *state.lock()
+    } else {
+        let (reply, answer) = sim.channel::<u32>(None);
+        depth.fetch_add(1, Ordering::SeqCst);
+        assert!(tx.send(Job::Read(reply)));
+        answer.recv().unwrap_or(0)
+    };
+    assert_eq!(seen, 1, "run_on overtook a submitted job");
+    drop(tx);
+    worker.join();
+}
+
+#[test]
+fn run_on_observes_every_submitted_job_in_every_schedule() {
+    let report = Explorer::exhaustive().explore(|sim| run_on_model(sim, true));
+    report.assert_ok();
+    assert!(
+        report.distinct > 1,
+        "expected multiple interleavings, got {}",
+        report.distinct
+    );
+}
+
+#[test]
+fn counting_a_job_finished_at_dequeue_is_caught() {
+    let report = Explorer::exhaustive().explore(|sim| run_on_model(sim, false));
+    assert!(
+        !report.failures.is_empty(),
+        "explorer missed the overtaking schedule ({} runs)",
+        report.runs
+    );
+    assert!(report.failures[0]
+        .message
+        .contains("run_on overtook a submitted job"));
 }
 
 /// Random mode replays deterministically for a fixed seed — the same

@@ -23,7 +23,8 @@
 //!   [`ShardedStore::replace_shard`] re-admits a shard health tracking
 //!   had written off.
 //!
-//! The store also degrades gracefully: per-shard health is tracked, point
+//! The store also degrades gracefully: per-member health is tracked, a
+//! panicking backend poisons only its member, point
 //! operations to a dead shard fail fast with the structured
 //! [`hypermodel::error::HmError::ShardUnavailable`], and fan-out reads
 //! follow a caller-chosen [`ScanPolicy`] (fail atomically, or complete
@@ -36,18 +37,24 @@
 //!
 //! ## Replication
 //!
-//! [`ShardedStore::new_replicated`] turns each logical shard into a
-//! [`ReplicaSet`] of K full mirrors (group-major member layout, primary
-//! first). Writes fan out to every healthy mirror under a configurable
-//! [`WriteAck`] policy (primary / quorum / all); reads route to the
-//! least-loaded healthy mirror using the executor queue-depth and
-//! `busy_us` EWMA, failing over transparently when a mirror dies. A
-//! demoted mirror is repaired in the background: the store pulls an
+//! Every logical shard is a [`ReplicaSet`] of K full mirrors
+//! (group-major member layout, primary first);
+//! [`ShardedStore::new_replicated`] picks K, and [`ShardedStore::new`] is
+//! K = 1, a group of one that runs the same code. Writes fan out to every
+//! healthy mirror under a configurable [`WriteAck`] policy (primary /
+//! quorum / all); reads route to the least-loaded healthy mirror using
+//! the executor queue-depth and `busy_us` EWMA, failing over
+//! transparently when a mirror dies. A call that touches one member runs
+//! on the caller's thread unless jobs are pending on it, so the point
+//! path of a one-member group costs no executor hop. A demoted mirror
+//! with a healthy sibling is repaired in the background: the store pulls an
 //! anti-entropy snapshot from a healthy peer
 //! ([`hypermodel::HyperStore::sync_export`]) and installs it on the
 //! lagging member ([`hypermodel::HyperStore::sync_import`] — carried over
 //! the wire as `Request::SyncSubtree` / `Request::InstallSubtree` for
-//! remote shards) before re-admitting it to the read path.
+//! remote shards) before re-admitting it to the read path. A group of
+//! one has no sibling: its member comes back through
+//! [`ShardedStore::revive_shard`] or [`ShardedStore::replace_shard`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

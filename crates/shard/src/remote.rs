@@ -26,22 +26,7 @@ pub fn connect_sharded(
     addrs: &[String],
     placement: Placement,
 ) -> Result<ShardedStore<RemoteStore>> {
-    if addrs.is_empty() {
-        return Err(HmError::InvalidArgument(
-            "sharded-remote needs at least one server address".into(),
-        ));
-    }
-    let mut shards = Vec::with_capacity(addrs.len());
-    for addr in addrs {
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| HmError::Backend(format!("connect {addr}: {e}")))?;
-        let transport = TcpTransport::new(stream)?;
-        shards.push(RemoteStore::new(
-            Box::new(transport),
-            ClosureMode::ClientSide,
-        ));
-    }
-    Ok(ShardedStore::new(shards, placement, "sharded-remote"))
+    connect_sharded_replicated(addrs, 1, placement)
 }
 
 /// Connect to `n * k` HyperModel servers and compose them into a

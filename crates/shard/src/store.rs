@@ -1,19 +1,25 @@
 //! [`ShardedStore`]: one `HyperStore` over N shard backends.
 //!
-//! Point operations route to the owning shard; range lookups and
-//! sequential scans fan out to every shard in parallel (persistent
-//! per-shard executor workers — see [`exec::ShardExecutor`]) and merge;
-//! closure traversals run **level-batched frontier exchange**: per BFS
-//! level the frontier is grouped by owning shard and fetched with one
-//! batched request per shard, so cross-shard round trips scale with
-//! traversal *depth*, not node count. The fetched adjacency is then
-//! replayed as a local depth-first traversal, reproducing the exact
-//! output order of the trait's default implementations.
+//! Every logical shard is a replica group of K members; an unreplicated
+//! deployment is K = 1, a group of one, and runs the same code. All
+//! operations go through one group layer: a point read asks one healthy
+//! member of the owning group (`read_group`), a point write goes to
+//! every healthy member (`write_group`), and range lookups, sequential
+//! scans and closure levels go through one fan-out helper (`fan_out`)
+//! that asks one member per involved group, concurrently, failing over
+//! inside each group. Closure traversals run **level-batched frontier
+//! exchange**: per BFS level the frontier is grouped by owning shard and
+//! fetched with one batched request per shard, so cross-shard round
+//! trips scale with traversal *depth*, not node count. The fetched
+//! adjacency is then replayed as a local depth-first traversal,
+//! reproducing the exact output order of the trait's default
+//! implementations.
 //!
-//! Fan-outs cost one bounded-channel round trip per shard (~3 µs)
-//! instead of the scoped-thread spawn+join (~15 µs) this store paid per
-//! shard per operation before the executor existed; point operations
-//! skip the queue entirely and lock the owning shard directly.
+//! Members are reached through [`exec::ShardExecutor`]. A call that
+//! touches one member runs on the caller's thread unless jobs are still
+//! pending on that member ([`exec::ShardExecutor::run_on`]); a call that
+//! touches several spawns one job per member on their persistent
+//! workers, at one bounded-channel round trip (~3 µs) each.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -27,7 +33,7 @@ use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::{HyperStore, ShardLoad};
 use hypermodel::Bitmap;
 
-use exec::{ExecError, JobHandle, ShardExecutor};
+use exec::{ExecError, ShardExecutor};
 
 use crate::coordinator::CommitLog;
 use crate::router::{Placement, ReplicaSet, ShardRouter, GHOST_UID_BASE};
@@ -36,12 +42,24 @@ use crate::router::{Placement, ReplicaSet, ShardRouter, GHOST_UID_BASE};
 /// original request slice answered by shard `s`'s `j`-th result.
 type Scatter = Vec<Vec<usize>>;
 
-/// A shard operation shared across the replica fan-out: cloned once per
-/// member so every mirror of the group runs the identical closure.
-type SharedOp<S, T> = Arc<dyn Fn(&mut S) -> Result<T> + Send + Sync>;
+/// Per-group work for the fan-out helper: `(logical shard, its work)`.
+type Work<W> = Vec<(usize, W)>;
 
-/// [`SharedOp`] carrying per-shard work of type `W`.
-type SharedBatchOp<S, W, T> = Arc<dyn Fn(&mut S, W) -> Result<T> + Send + Sync>;
+/// A member's outcome before flattening: the operation's own result, or
+/// why the executor produced none.
+type Joined<T> = std::result::Result<Result<T>, ExecError>;
+
+/// How a dispatch to several members is joined.
+#[derive(Debug, Clone, Copy)]
+enum Join {
+    /// Wait for every member.
+    All,
+    /// Wait for every member under one shared deadline.
+    Within(Duration),
+    /// Stop waiting once this many members succeeded; the rest keep
+    /// running detached, in FIFO order on their workers.
+    Quorum(usize),
+}
 
 /// Default deadline for the parallel 2PC prepare fan-out: generous
 /// enough to never fire on a healthy local shard, tight enough that a
@@ -65,10 +83,11 @@ pub enum ScanPolicy {
     Partial,
 }
 
-/// How many replicas must acknowledge a write before it returns, when
-/// the store is replicated (`K > 1`). Every healthy replica is *sent*
-/// the write regardless — the policy only decides how many the caller
-/// waits for; stragglers apply it in FIFO order on their workers.
+/// How many replicas must acknowledge a write before it returns. Every
+/// healthy replica is *sent* the write regardless — the policy only
+/// decides how many the caller waits for; stragglers apply it in FIFO
+/// order on their workers. In a group of one every policy waits for its
+/// one member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WriteAck {
     /// Return once the acting primary (the first healthy replica of the
@@ -86,17 +105,16 @@ pub enum WriteAck {
 
 /// A sharded `HyperStore` over `S` backends, optionally replicated.
 ///
-/// With replication factor `K > 1` (see
-/// [`ShardedStore::new_replicated`]) each *logical* shard is a group of
-/// `K` mirror backends occupying `K` consecutive executor members
-/// (group-major, primary first). Every mirror of a group receives the
-/// identical deterministic operation sequence, so backend-local ids
-/// match across copies and the router stays logical-only. Reads route
-/// to the least-loaded healthy member of the owning group; writes fan
-/// out to every healthy member and wait per the [`WriteAck`] policy; a
-/// member that fails is demoted and later resynced wholesale from a
-/// healthy sibling ([`ShardedStore::repair_replicas`], driven
-/// automatically at commit).
+/// Each *logical* shard is a group of `K` mirror backends occupying `K`
+/// consecutive executor members (group-major, primary first); `K = 1`
+/// unless built with [`ShardedStore::new_replicated`]. Every mirror of a
+/// group receives the identical deterministic operation sequence, so
+/// backend-local ids match across copies and the router stays
+/// logical-only. Reads route to the least-loaded healthy member of the
+/// owning group; writes fan out to every healthy member and wait per the
+/// [`WriteAck`] policy; a member that fails is demoted and later resynced
+/// wholesale from a healthy sibling ([`ShardedStore::repair_replicas`],
+/// driven automatically at commit).
 pub struct ShardedStore<S> {
     /// Owns the member backends; one persistent worker thread each.
     exec: ShardExecutor<S>,
@@ -107,14 +125,14 @@ pub struct ShardedStore<S> {
     /// Write acknowledgement policy for replicated groups.
     write_ack: WriteAck,
     /// `health[m]` is false once *member* `m` failed transiently (crash,
-    /// timeout, lost connection). Unreplicated, member == shard: point
-    /// operations routed to a dead shard fail fast and fan-outs consult
-    /// the [`ScanPolicy`]. Replicated, a dead member is skipped as long
-    /// as a healthy sibling remains.
+    /// timeout, lost connection, panic). A dead member is skipped as long
+    /// as a healthy sibling remains; once a whole group is dead, point
+    /// operations routed to it fail fast and fan-outs consult the
+    /// [`ScanPolicy`].
     health: Vec<bool>,
-    /// `lag[m]` is set (from the member's own worker thread) when a
-    /// replicated write failed transiently on member `m` while the
-    /// caller was already acked by a sibling: the member's state may be
+    /// `lag[m]` is set (from the thread running the write) when a write
+    /// failed transiently on member `m`, possibly while the caller was
+    /// already acked by a sibling: the member's state may be
     /// behind an acknowledged write, so reads must not land there until
     /// repair resyncs it.
     lag: Vec<Arc<AtomicBool>>,
@@ -123,7 +141,7 @@ pub struct ShardedStore<S> {
     /// Logical shards skipped by the most recent fan-out read under
     /// [`ScanPolicy::Partial`].
     last_scan_skipped: Vec<usize>,
-    /// Two-phase commit state; `None` = legacy per-shard commit.
+    /// Two-phase commit state; `None` = single-phase commit.
     commit_log: Option<CommitLog>,
     next_txid: u64,
     aborts: u64,
@@ -222,11 +240,9 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             reg.counter("shard.rebalance.forward_hits");
             reg.counter("shard.rebalance.aborts");
             reg.gauge("shard.load.imbalance");
-            if k > 1 {
-                reg.counter("shard.replica.failover_reads");
-                reg.counter("shard.replica.demotions");
-                reg.counter("shard.replica.repairs");
-            }
+            reg.counter("shard.replica.failover_reads");
+            reg.counter("shard.replica.demotions");
+            reg.counter("shard.replica.repairs");
         }
         ShardedStore {
             exec: ShardExecutor::new(members),
@@ -288,8 +304,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         self.router.replica_set(shard)
     }
 
-    /// Choose how many replicas must acknowledge a write (`K > 1` only;
-    /// the policy is ignored when unreplicated).
+    /// Choose how many replicas must acknowledge a write.
     pub fn set_write_ack(&mut self, ack: WriteAck) {
         self.write_ack = ack;
     }
@@ -329,38 +344,39 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
 
     /// Re-admit a member previously marked dead, e.g. after
     /// [`crate::coordinator::recover_sharded`] repaired its backend.
-    /// Unreplicated, probes the shard with a cheap scan before flipping
-    /// health back; replicated, runs a full anti-entropy resync from a
-    /// healthy sibling first ([`ShardedStore::repair_replicas`] does
-    /// this for every dead member at once). Refuses while the executor
-    /// still flags the member poisoned by a panic (swap the backend
-    /// with [`ShardedStore::replace_shard`] first).
+    /// Replicated, runs a full anti-entropy resync from a healthy sibling
+    /// first ([`ShardedStore::repair_replicas`] does this for every dead
+    /// member at once). A group of one has no sibling to resync from, and
+    /// no sibling that could have acked a write it missed: its member is
+    /// probed with a cheap scan and re-admitted. Refuses while the
+    /// executor still flags the member poisoned by a panic (swap the
+    /// backend with [`ShardedStore::replace_shard`] first).
     pub fn revive_shard(&mut self, member: usize) -> Result<()> {
         if self.exec.is_poisoned(member) {
             return Err(HmError::ShardUnavailable {
-                shard: member / self.k,
+                shard: self.group_of(member),
                 msg: "shard worker poisoned by a panic; replace the backend first".into(),
             });
         }
         if self.k > 1 {
             return self.repair_member(member);
         }
-        self.exec.with_shard(member, |sh| sh.seq_scan_ten())?;
-        self.health[member] = true;
+        flatten(self.exec.run_on(member, |sh: &mut S| sh.seq_scan_ten()))?;
+        self.readmit(member);
         Ok(())
     }
 
     /// Swap in a replacement backend for member `member` (e.g. a store
-    /// reopened by recovery), clearing the executor's poison flag.
-    /// Unreplicated, the member is immediately re-admitted; replicated,
-    /// the fresh backend stays demoted until
-    /// [`ShardedStore::repair_replicas`] (or the next commit) has
-    /// resynced it from a healthy sibling — an empty replacement must
-    /// never serve reads. Returns the previous backend.
+    /// reopened by recovery), clearing the executor's poison flag. In a
+    /// group of one the member is immediately re-admitted (there is no
+    /// sibling to resync from); replicated, the fresh backend stays
+    /// demoted until [`ShardedStore::repair_replicas`] (or the next
+    /// commit) has resynced it from a healthy sibling — an empty
+    /// replacement must never serve reads. Returns the previous backend.
     pub fn replace_shard(&mut self, member: usize, store: S) -> S {
         let old = self.exec.replace_shard(member, store);
         if self.k == 1 {
-            self.health[member] = true;
+            self.readmit(member);
         } else {
             self.health[member] = false;
             self.lag[member].store(true, Ordering::Release);
@@ -417,37 +433,32 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         self.commit_log.as_ref().map(|l| l.checkpointed_through())
     }
 
-    /// Classify a shard-call result: a transient failure marks the
-    /// shard dead and is rewrapped as the structured
-    /// [`HmError::ShardUnavailable`] carrying the shard index.
-    fn note<T>(&mut self, s: usize, r: Result<T>) -> Result<T> {
-        r.map_err(|e| self.note_err(s, e))
-    }
-
-    /// [`Self::note`] for a known failure: classifies the error and
-    /// hands it back directly, so commit paths never unwrap.
-    fn note_err(&mut self, s: usize, e: HmError) -> HmError {
-        match e {
-            e @ HmError::ShardUnavailable { .. } => {
-                self.health[s] = false;
-                e
-            }
-            e if e.is_transient() => {
-                self.health[s] = false;
-                HmError::ShardUnavailable {
-                    shard: s,
-                    msg: e.to_string(),
-                }
-            }
-            e => e,
-        }
-    }
-
     fn unavailable(s: usize) -> HmError {
         HmError::ShardUnavailable {
             shard: s,
             msg: "shard marked unavailable".into(),
         }
+    }
+
+    /// [`HmError::ShardUnavailable`] naming logical shard `s` and
+    /// carrying the text of `e`, the error a member of it failed with.
+    fn unavailable_because(s: usize, e: HmError) -> HmError {
+        let msg = match e {
+            HmError::ShardUnavailable { msg, .. } => msg,
+            e => e.to_string(),
+        };
+        HmError::ShardUnavailable { shard: s, msg }
+    }
+
+    /// Classify member `m`'s failure: a transient one demotes the member
+    /// and comes back as [`HmError::ShardUnavailable`] naming its logical
+    /// shard; a deterministic one is returned as it is.
+    fn member_failed(&mut self, m: usize, e: HmError) -> HmError {
+        if !e.is_transient() {
+            return e;
+        }
+        self.demote(m);
+        Self::unavailable_because(self.group_of(m), e)
     }
 
     /// The logical shard owning member `m`.
@@ -458,6 +469,16 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// Whether logical shard `s` has at least one healthy member.
     fn group_healthy(&self, s: usize) -> bool {
         self.router.replica_set(s).members().any(|m| self.health[m])
+    }
+
+    /// The first logical shard without a healthy member, if any.
+    fn dead_group(&self) -> Option<usize> {
+        (0..self.router.shard_count()).find(|&s| !self.group_healthy(s))
+    }
+
+    /// Every member currently on the read and write paths.
+    fn healthy_members(&self) -> Vec<usize> {
+        (0..self.health.len()).filter(|&m| self.health[m]).collect()
     }
 
     /// Demote member `m`: no reads or writes land there until repair
@@ -473,11 +494,81 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         self.lag[m].store(true, Ordering::Release);
     }
 
-    /// A transient error naming logical shard `s`.
-    fn transient_for(s: usize, e: HmError) -> HmError {
-        HmError::ShardUnavailable {
-            shard: s,
-            msg: e.to_string(),
+    /// Put member `m` back on the read and write paths.
+    fn readmit(&mut self, m: usize) {
+        self.lag[m].store(false, Ordering::Release);
+        self.health[m] = true;
+    }
+
+    /// Demote every healthy member flagged lagging.
+    fn demote_lagging(&mut self, members: impl Iterator<Item = usize>) {
+        for m in members {
+            if self.health[m] && self.lag[m].load(Ordering::Acquire) {
+                self.demote(m);
+            }
+        }
+    }
+
+    /// `f`, refusing to run once member `m` is flagged lagging. The check
+    /// runs in the job, under the member lock, so it is ordered after
+    /// every write sent to `m` before it.
+    fn unless_lagging<T, F>(&self, m: usize, f: F) -> impl FnOnce(&mut S) -> Result<T> + Send
+    where
+        F: FnOnce(&mut S) -> Result<T> + Send,
+    {
+        let lag = Arc::clone(&self.lag[m]);
+        move |sh| {
+            if lag.load(Ordering::Acquire) {
+                // A write failed here after this call was routed: the
+                // state may predate an acked write.
+                return Err(HmError::Timeout(format!(
+                    "replica member {m} lagging behind an acked write"
+                )));
+            }
+            f(sh)
+        }
+    }
+
+    /// Write `f`, flagging member `m` lagging when it fails transiently.
+    /// The flag is set from the thread running the write, so a read
+    /// queued behind it fails over even when the caller was already
+    /// acked by a sibling and has moved on.
+    fn flag_lag<T, F>(&self, m: usize, f: F) -> impl FnOnce(&mut S) -> Result<T> + Send
+    where
+        F: FnOnce(&mut S) -> Result<T> + Send,
+    {
+        let lag = Arc::clone(&self.lag[m]);
+        move |sh| {
+            let r = f(sh);
+            if matches!(&r, Err(e) if e.is_transient()) {
+                lag.store(true, Ordering::Release);
+            }
+            r
+        }
+    }
+
+    /// Run each `(member, job)`: a lone job through
+    /// [`ShardExecutor::run_on`] (on the caller's thread unless jobs are
+    /// pending on its member), several as one executor job each, joined
+    /// per `join`. Results come in `jobs` order (only those waited for
+    /// under [`Join::Quorum`]).
+    fn dispatch<T, F>(&self, mut jobs: Vec<(usize, F)>, join: Join) -> Vec<(usize, Joined<T>)>
+    where
+        T: Send + 'static,
+        F: FnOnce(&mut S) -> Result<T> + Send + 'static,
+    {
+        if jobs.len() == 1 {
+            let (m, job) = jobs.remove(0);
+            return vec![(m, self.exec.run_on(m, job))];
+        }
+        let mut batch = self.exec.batch();
+        for (m, job) in jobs {
+            batch.spawn(m, job);
+        }
+        match join {
+            Join::All => batch.join(),
+            Join::Within(deadline) => batch.join_within(deadline),
+            Join::Quorum(need) => batch.join_quorum(need, |r: &Result<T>| r.is_ok()),
         }
     }
 
@@ -488,11 +579,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// group's designated primary is down.
     fn read_member(&mut self, s: usize) -> Result<usize> {
         let set = self.router.replica_set(s);
-        for m in set.members() {
-            if self.health[m] && self.lag[m].load(Ordering::Acquire) {
-                self.demote(m);
-            }
-        }
+        self.demote_lagging(set.members());
         let pick = set
             .members()
             .filter(|&m| self.health[m])
@@ -510,57 +597,49 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     }
 
     /// Run a read against one healthy member of group `s`, failing over
-    /// (and demoting) on transient errors until the group is exhausted.
-    /// The read is *submitted* through the member's FIFO queue rather
-    /// than locking the backend directly, so it is ordered after every
-    /// replicated write already fanned out to that member — a read that
+    /// (and demoting) on transient errors until the group is exhausted,
+    /// which fails with the last member's error, naming `s`. The read is
+    /// ordered after every write already sent to the member — it runs
+    /// on the caller's thread only when nothing is pending there, and
+    /// checks the lag flag under the member lock — so a read that
     /// follows an acked write can never observe the pre-write state.
+    /// The point-read path: nothing is boxed or allocated.
     fn read_group<T, F>(&mut self, s: usize, f: F) -> Result<T>
     where
         T: Send + 'static,
-        F: Fn(&mut S) -> Result<T> + Send + Sync + 'static,
+        F: FnOnce(&mut S) -> Result<T> + Clone + Send + 'static,
     {
-        let f: SharedOp<S, T> = Arc::new(f);
+        let mut last = None;
         loop {
-            let m = self.read_member(s)?;
-            let lag = Arc::clone(&self.lag[m]);
-            let f = Arc::clone(&f);
-            let job = self.exec.submit(m, move |sh| {
-                if lag.load(Ordering::Acquire) {
-                    // A write failed here after this read was routed:
-                    // the state may predate an acked write.
-                    return Err(HmError::Timeout(format!(
-                        "replica member {m} lagging behind an acked write"
-                    )));
-                }
-                f(sh)
-            });
-            match flatten(job.and_then(JobHandle::wait)) {
+            let m = match self.read_member(s) {
+                Ok(m) => m,
+                Err(e) => return Err(last.map_or(e, |l| Self::unavailable_because(s, l))),
+            };
+            match flatten(self.exec.run_on(m, self.unless_lagging(m, f.clone()))) {
                 Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() => self.demote(m),
+                Err(e) if e.is_transient() => {
+                    self.demote(m);
+                    last = Some(e);
+                }
                 Err(e) => return Err(e),
             }
         }
     }
 
-    /// Fan a write out to every healthy member of group `s` and wait
-    /// per the [`WriteAck`] policy. Members the caller does not wait
-    /// for keep applying the write in FIFO order; one that fails
-    /// transiently flags itself lagging (from its own worker thread) so
-    /// no subsequent read serves its stale state. Deterministic errors
-    /// (wrong kind, unknown node) occur identically on every mirror and
-    /// are returned without demoting anyone.
+    /// Send a write to every healthy member of group `s` and wait per
+    /// the [`WriteAck`] policy. Members the caller does not wait for keep
+    /// applying the write in FIFO order; one that fails transiently
+    /// flags itself lagging so no subsequent read serves its stale
+    /// state. Deterministic errors (wrong kind, unknown node) occur
+    /// identically on every mirror and are returned without demoting
+    /// anyone.
     fn write_group<T, F>(&mut self, s: usize, f: F) -> Result<T>
     where
         T: Send + 'static,
-        F: Fn(&mut S) -> Result<T> + Send + Sync + 'static,
+        F: FnOnce(&mut S) -> Result<T> + Clone + Send + 'static,
     {
         let set = self.router.replica_set(s);
-        for m in set.members() {
-            if self.health[m] && self.lag[m].load(Ordering::Acquire) {
-                self.demote(m);
-            }
-        }
+        self.demote_lagging(set.members());
         let healthy: Vec<usize> = set.members().filter(|&m| self.health[m]).collect();
         if healthy.is_empty() {
             return Err(Self::unavailable(s));
@@ -583,35 +662,21 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             }
             WriteAck::All => healthy.len(),
         };
-        let f: SharedOp<S, T> = Arc::new(f);
-        let mut batch = self.exec.batch();
-        for &m in &healthy {
-            let f = Arc::clone(&f);
-            let lag = Arc::clone(&self.lag[m]);
-            batch.spawn(m, move |sh| {
-                let r = f(sh);
-                if matches!(&r, Err(e) if e.is_transient()) {
-                    lag.store(true, Ordering::Release);
-                }
-                r
-            });
-        }
+        let jobs = healthy
+            .iter()
+            .map(|&m| (m, self.flag_lag(m, f.clone())))
+            .collect();
         let mut acks = 0usize;
         let mut value: Option<T> = None;
         let mut first_err: Option<HmError> = None;
-        for (m, r) in batch.join_quorum(need, |r: &Result<T>| r.is_ok()) {
+        for (m, r) in self.dispatch(jobs, Join::Quorum(need)) {
             match flatten(r) {
                 Ok(v) => {
                     acks += 1;
                     value.get_or_insert(v);
                 }
-                Err(e) if e.is_transient() => {
-                    self.demote(m);
-                    if first_err.is_none() {
-                        first_err = Some(Self::transient_for(s, e));
-                    }
-                }
                 Err(e) => {
+                    let e = self.member_failed(m, e);
                     first_err.get_or_insert(e);
                 }
             }
@@ -622,17 +687,74 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         }
     }
 
+    /// The fan-out helper: run `f(backend, w)` for every `(group, w)` in
+    /// `work` on one healthy member of that group — concurrently across
+    /// groups, failing over inside a group (demoting the member) on
+    /// transient errors. Yields one outcome per group, in `work` order:
+    /// its value, or the error it ended on — once a group is exhausted,
+    /// `ShardUnavailable` naming it with its last member's error.
+    fn fan_out<W, T, F>(&mut self, work: Work<W>, f: F) -> Vec<(usize, Result<T>)>
+    where
+        W: Clone + Send + 'static,
+        T: Send + 'static,
+        F: Fn(&mut S, W) -> Result<T> + Clone + Send + 'static,
+    {
+        let mut out: Vec<(usize, Option<Result<T>>)> =
+            work.iter().map(|&(s, _)| (s, None)).collect();
+        // (position in `out`, work, the last member error in its group)
+        let mut todo: Vec<(usize, W, Option<HmError>)> = work
+            .into_iter()
+            .enumerate()
+            .map(|(i, (_, w))| (i, w, None))
+            .collect();
+        while !todo.is_empty() {
+            // Pick members before dispatching: the pick needs `&mut self`
+            // (demotions, failover counters).
+            let mut picked = Vec::with_capacity(todo.len());
+            for (i, w, last) in todo {
+                let s = out[i].0;
+                match self.read_member(s) {
+                    Ok(m) => picked.push((i, m, w)),
+                    Err(e) => {
+                        out[i].1 = Some(Err(last.map_or(e, |l| Self::unavailable_because(s, l))))
+                    }
+                }
+            }
+            let jobs = picked
+                .iter()
+                .map(|(_, m, w)| {
+                    let (f, w) = (f.clone(), w.clone());
+                    (*m, self.unless_lagging(*m, move |sh: &mut S| f(sh, w)))
+                })
+                .collect();
+            let results = self.dispatch(jobs, Join::All);
+            todo = Vec::new();
+            for ((i, m, w), (_, r)) in picked.into_iter().zip(results) {
+                match flatten(r) {
+                    Err(e) if e.is_transient() => {
+                        self.demote(m);
+                        todo.push((i, w, Some(e)));
+                    }
+                    r => out[i].1 = Some(r),
+                }
+            }
+        }
+        // Every group ends with an outcome: the loop runs until none is
+        // left to retry.
+        out.into_iter()
+            .map(|(s, r)| (s, r.unwrap_or_else(|| Err(Self::unavailable(s)))))
+            .collect()
+    }
+
     /// Resync every demoted, unpoisoned member from a healthy sibling
     /// and re-admit it. Best-effort: a member whose repair fails stays
-    /// demoted and the next repair pass tries again. No-op when
-    /// unreplicated (there is no sibling to sync from — use
+    /// demoted and the next repair pass tries again. A member without a
+    /// healthy sibling — always so in a group of one — is left for
     /// [`crate::coordinator::recover_sharded`] and
-    /// [`ShardedStore::revive_shard`] instead). Called automatically at
-    /// the start of every replicated commit.
+    /// [`ShardedStore::revive_shard`] or
+    /// [`ShardedStore::replace_shard`]. Called automatically at the
+    /// start of every commit.
     pub fn repair_replicas(&mut self) {
-        if self.k == 1 {
-            return;
-        }
         for m in 0..self.health.len() {
             if self.health[m] || self.exec.is_poisoned(m) {
                 continue;
@@ -656,7 +778,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     }
 
     /// Anti-entropy resync of member `m` from a healthy sibling: export
-    /// the sibling's full state through its FIFO queue (so every
+    /// the sibling's full state behind every write pending there (so each
     /// in-flight write is included), install it on `m`, probe, and
     /// re-admit.
     fn repair_member(&mut self, m: usize) -> Result<()> {
@@ -673,84 +795,45 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             .members()
             .find(|&o| o != m && self.health[o])
             .ok_or_else(|| Self::unavailable(s))?;
-        let exported = flatten(
-            self.exec
-                .submit(src, |sh: &mut S| sh.sync_export())
-                .and_then(JobHandle::wait),
-        );
-        let snapshot = match exported {
-            Ok(bytes) => bytes,
-            Err(e) if e.is_transient() => {
-                self.demote(src);
-                return Err(Self::transient_for(s, e));
-            }
-            Err(e) => return Err(e),
-        };
-        flatten(
-            self.exec
-                .submit(m, move |sh: &mut S| {
-                    sh.sync_import(&snapshot)?;
-                    sh.seq_scan_ten().map(|_| ()) // probe before re-admission
-                })
-                .and_then(JobHandle::wait),
-        )?;
-        self.lag[m].store(false, Ordering::Release);
-        self.health[m] = true;
+        let snapshot = flatten(self.exec.run_on(src, |sh: &mut S| sh.sync_export()))
+            .map_err(|e| self.member_failed(src, e))?;
+        flatten(self.exec.run_on(m, move |sh: &mut S| {
+            sh.sync_import(&snapshot)?;
+            sh.seq_scan_ten().map(|_| ()) // probe before re-admission
+        }))?;
+        self.readmit(m);
         self.acked[m] = self.acked[src];
         self.repairs += 1;
         obs::incr("shard.replica.repairs", 1);
         Ok(())
     }
 
-    /// Route a read at `oid` to the owning shard: direct lock when
-    /// unreplicated, least-loaded healthy replica otherwise.
+    /// Route a read at `oid` to one member of the owning group.
     fn read_at<T>(
         &mut self,
         oid: Oid,
-        f: impl Fn(&mut S, Oid) -> Result<T> + Send + Sync + 'static,
+        f: impl FnOnce(&mut S, Oid) -> Result<T> + Clone + Send + 'static,
     ) -> Result<(usize, T)>
     where
         T: Send + 'static,
     {
-        if self.k == 1 {
-            return self.on_shard(oid, move |sh, l| f(sh, l));
-        }
         let (s, l) = self.route(oid)?;
         let v = self.read_group(s, move |sh: &mut S| f(sh, l))?;
         Ok((s, v))
     }
 
-    /// Route a write at `oid` to the owning shard: direct lock when
-    /// unreplicated, full write fan-out otherwise.
+    /// Route a write at `oid` to every healthy member of the owning group.
     fn write_at<T>(
         &mut self,
         oid: Oid,
-        f: impl Fn(&mut S, Oid) -> Result<T> + Send + Sync + 'static,
+        f: impl FnOnce(&mut S, Oid) -> Result<T> + Clone + Send + 'static,
     ) -> Result<(usize, T)>
     where
         T: Send + 'static,
     {
-        if self.k == 1 {
-            return self.on_shard(oid, move |sh, l| f(sh, l));
-        }
         let (s, l) = self.route(oid)?;
         let v = self.write_group(s, move |sh: &mut S| f(sh, l))?;
         Ok((s, v))
-    }
-
-    /// Route to a single shard and run `f` there, with fail-fast on
-    /// dead shards and health tracking on transient failures. Point
-    /// path: locks the shard on the calling thread — no executor hop.
-    /// Unreplicated deployments only (member == shard).
-    fn on_shard<T>(
-        &mut self,
-        oid: Oid,
-        f: impl FnOnce(&mut S, Oid) -> Result<T>,
-    ) -> Result<(usize, T)> {
-        debug_assert_eq!(self.k, 1);
-        let (s, l) = self.route(oid)?;
-        let r = self.exec.with_shard(s, |sh| f(sh, l));
-        Ok((s, self.note(s, r)?))
     }
 
     /// Run `f` against shard `shard`'s backend directly — for
@@ -761,59 +844,6 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         self.exec.with_shard(shard, f)
     }
 
-    /// Run `f` against every shard concurrently on the executor pool,
-    /// collecting per-shard results in shard order.
-    fn all_shards<T, F>(&self, f: F) -> Vec<Result<T>>
-    where
-        T: Send + 'static,
-        F: Fn(&mut S) -> Result<T> + Send + Sync + 'static,
-    {
-        let n = self.exec.shard_count();
-        if n == 1 {
-            return vec![self.exec.with_shard(0, |sh| f(sh))];
-        }
-        let f = Arc::new(f);
-        let mut batch = self.exec.batch();
-        for s in 0..n {
-            let f = Arc::clone(&f);
-            batch.spawn(s, move |sh| f(sh));
-        }
-        batch.join().into_iter().map(|(_, r)| flatten(r)).collect()
-    }
-
-    /// Run `f` concurrently on each shard that has work (`Some`), in
-    /// shard order; shards without work yield `Ok(T::default())`.
-    fn batched<W, T, F>(&self, work: Vec<Option<W>>, f: F) -> Vec<Result<T>>
-    where
-        W: Send + 'static,
-        T: Send + Default + 'static,
-        F: Fn(&mut S, W) -> Result<T> + Send + Sync + 'static,
-    {
-        let n = self.exec.shard_count();
-        if n == 1 {
-            return work
-                .into_iter()
-                .map(|w| match w {
-                    Some(w) => self.exec.with_shard(0, |sh| f(sh, w)),
-                    None => Ok(T::default()),
-                })
-                .collect();
-        }
-        let f = Arc::new(f);
-        let mut batch = self.exec.batch();
-        for (s, w) in work.into_iter().enumerate() {
-            if let Some(w) = w {
-                let f = Arc::clone(&f);
-                batch.spawn(s, move |sh| f(sh, w));
-            }
-        }
-        let mut out: Vec<Result<T>> = (0..n).map(|_| Ok(T::default())).collect();
-        for (s, r) in batch.join() {
-            out[s] = flatten(r);
-        }
-        out
-    }
-
     /// The shard owning `global`, if the id exists.
     pub fn owner_of(&self, global: Oid) -> Option<usize> {
         self.router.owner_of(global)
@@ -822,17 +852,13 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// Sequential-scan count per shard (no merging): the per-shard node
     /// visibility the union/disjointness properties are stated over.
     pub fn per_shard_scan(&mut self) -> Result<Vec<u64>> {
-        for s in 0..self.router.shard_count() {
+        let n = self.router.shard_count();
+        for s in 0..n {
             self.router.requests[s] += 1;
         }
-        if self.k > 1 {
-            return (0..self.router.shard_count())
-                .map(|s| self.read_group(s, |sh: &mut S| sh.seq_scan_ten()))
-                .collect();
-        }
-        self.all_shards(|shard| shard.seq_scan_ten())
-            .into_iter()
-            .collect()
+        let work = (0..n).map(|s| (s, ())).collect();
+        let counts = self.batched_checked(work, |sh: &mut S, ()| sh.seq_scan_ten())?;
+        Ok(counts.into_iter().map(|(_, c)| c).collect())
     }
 
     fn route(&mut self, oid: Oid) -> Result<(usize, Oid)> {
@@ -847,7 +873,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// Group globals by owning shard; returns per-shard locals plus the
     /// positions each answer scatters back to. Counts one request per
     /// shard with work — the unit the skew statistics measure.
-    fn group_by_shard(&mut self, globals: &[Oid]) -> Result<(Vec<Option<Vec<Oid>>>, Scatter)> {
+    fn group_by_shard(&mut self, globals: &[Oid]) -> Result<(Work<Vec<Oid>>, Scatter)> {
         let n = self.router.shard_count();
         let mut locals: Vec<Vec<Oid>> = vec![Vec::new(); n];
         let mut pos: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -859,85 +885,31 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         let mut work = Vec::with_capacity(n);
         for (s, w) in locals.into_iter().enumerate() {
             if w.is_empty() {
-                work.push(None);
-            } else {
-                if !self.group_healthy(s) {
-                    // Batched primitives feed closures, whose results are
-                    // meaningless when incomplete: always fail fast.
-                    return Err(Self::unavailable(s));
-                }
-                self.router.requests[s] += 1;
-                work.push(Some(w));
+                continue;
             }
+            if !self.group_healthy(s) {
+                // Batched primitives feed closures, whose results are
+                // meaningless when incomplete: always fail fast.
+                return Err(Self::unavailable(s));
+            }
+            self.router.requests[s] += 1;
+            work.push((s, w));
         }
         Ok((work, pos))
     }
 
-    /// Run per-shard batched work with health tracking: unreplicated,
-    /// one direct executor job per shard with work; replicated, each
-    /// shard's job goes to its least-loaded healthy member and fails
-    /// over (demoting) on transient errors until the group is
-    /// exhausted. Returns one `T` per shard (`T::default()` for shards
-    /// without work).
-    fn batched_checked<W, T, F>(&mut self, work: Vec<Option<W>>, f: F) -> Result<Vec<T>>
+    /// The fan-out helper for batched primitives: one `(shard, value)`
+    /// per shard with work, or the first shard's failure.
+    fn batched_checked<W, T, F>(&mut self, work: Work<W>, f: F) -> Result<Vec<(usize, T)>>
     where
         W: Clone + Send + 'static,
-        T: Send + Default + 'static,
-        F: Fn(&mut S, W) -> Result<T> + Send + Sync + 'static,
+        T: Send + 'static,
+        F: Fn(&mut S, W) -> Result<T> + Clone + Send + 'static,
     {
-        if self.k == 1 {
-            let results = self.batched(work, f);
-            let mut out = Vec::with_capacity(results.len());
-            for (s, r) in results.into_iter().enumerate() {
-                out.push(self.note(s, r)?);
-            }
-            return Ok(out);
-        }
-        let f: SharedBatchOp<S, W, T> = Arc::new(f);
-        let n = self.router.shard_count();
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut todo: Vec<(usize, W)> = work
+        self.fan_out(work, f)
             .into_iter()
-            .enumerate()
-            .filter_map(|(s, w)| w.map(|w| (s, w)))
-            .collect();
-        while !todo.is_empty() {
-            // Pick members before creating the batch: the pick needs
-            // `&mut self` (demotions, failover counters) which the
-            // batch's borrow of the executor would otherwise hold.
-            let mut picks = Vec::with_capacity(todo.len());
-            for &(s, _) in &todo {
-                picks.push(self.read_member(s)?);
-            }
-            let mut batch = self.exec.batch();
-            for ((_, w), &m) in todo.iter().zip(&picks) {
-                let f = Arc::clone(&f);
-                let w = w.clone();
-                let lag = Arc::clone(&self.lag[m]);
-                batch.spawn(m, move |sh| {
-                    if lag.load(Ordering::Acquire) {
-                        return Err(HmError::Timeout(format!(
-                            "replica member {m} lagging behind an acked write"
-                        )));
-                    }
-                    f(sh, w)
-                });
-            }
-            let results = batch.join();
-            let mut retry = Vec::new();
-            for (((s, w), &m), (_, r)) in todo.into_iter().zip(&picks).zip(results) {
-                match flatten(r) {
-                    Ok(v) => out[s] = Some(v),
-                    Err(e) if e.is_transient() => {
-                        self.demote(m);
-                        retry.push((s, w));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            todo = retry;
-        }
-        Ok(out.into_iter().map(Option::unwrap_or_default).collect())
+            .map(|(s, r)| r.map(|v| (s, v)))
+            .collect()
     }
 
     /// Create (once) a ghost stand-in for `global` on `shard`, so the
@@ -952,14 +924,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         }
         self.router.requests[shard] += 1;
         let value = ghost_value(global);
-        let local = if self.k == 1 {
-            let r = self
-                .exec
-                .with_shard(shard, |sh| sh.insert_extra_node(&value));
-            self.note(shard, r)?
-        } else {
-            self.write_group(shard, move |sh: &mut S| sh.insert_extra_node(&value))?
-        };
+        let local = self.write_group(shard, move |sh: &mut S| sh.insert_extra_node(&value))?;
         self.router.register_ghost(global, shard, local);
         Ok(local)
     }
@@ -970,7 +935,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         &mut self,
         a: Oid,
         b: Oid,
-        apply: impl Fn(&mut S, Oid, Oid) -> Result<()> + Send + Sync + 'static,
+        apply: impl FnOnce(&mut S, Oid, Oid) -> Result<()> + Clone + Send + 'static,
     ) -> Result<()> {
         let (sa, la) = self.router.to_local(a)?;
         let (sb, lb) = self.router.to_local(b)?;
@@ -982,30 +947,15 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         }
         if sa == sb {
             self.router.requests[sa] += 1;
-            if self.k == 1 {
-                let r = self.exec.with_shard(sa, |sh| apply(sh, la, lb));
-                return self.note(sa, r);
-            }
             return self.write_group(sa, move |sh: &mut S| apply(sh, la, lb));
         }
         let ghost_b = self.ensure_ghost(b, sa)?;
         self.router.requests[sa] += 1;
-        if self.k == 1 {
-            let r = self.exec.with_shard(sa, |sh| apply(sh, la, ghost_b));
-            self.note(sa, r)?;
-            let ghost_a = self.ensure_ghost(a, sb)?;
-            self.router.requests[sb] += 1;
-            let r = self.exec.with_shard(sb, |sh| apply(sh, ghost_a, lb));
-            self.note(sb, r)?;
-            return Ok(());
-        }
-        let apply = Arc::new(apply);
-        let side_a = Arc::clone(&apply);
+        let side_a = apply.clone();
         self.write_group(sa, move |sh: &mut S| side_a(sh, la, ghost_b))?;
         let ghost_a = self.ensure_ghost(a, sb)?;
         self.router.requests[sb] += 1;
-        self.write_group(sb, move |sh: &mut S| apply(sh, ghost_a, lb))?;
-        Ok(())
+        self.write_group(sb, move |sh: &mut S| apply(sh, ghost_a, lb))
     }
 
     // ---- online subtree migration (shard rebalancing) ------------------
@@ -1120,14 +1070,9 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             }
         }
         for (src, ls) in back {
-            let _ = if self.k == 1 {
-                self.exec
-                    .with_shard(dst, |sh| sh.retire_nodes(&ls, src as u16, epoch))
-            } else {
-                self.write_group(dst, move |sh: &mut S| {
-                    sh.retire_nodes(&ls, src as u16, epoch)
-                })
-            };
+            let _ = self.write_group(dst, move |sh: &mut S| {
+                sh.retire_nodes(&ls, src as u16, epoch)
+            });
         }
     }
 
@@ -1188,12 +1133,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         for (&src, items) in &by_src {
             let locals: Vec<Oid> = items.iter().map(|&(_, l)| l).collect();
             self.router.requests[src] += 1;
-            let batch = if self.k == 1 {
-                let r = self.exec.with_shard(src, |sh| sh.export_nodes(&locals));
-                self.note(src, r)?
-            } else {
-                self.read_group(src, move |sh: &mut S| sh.export_nodes(&locals))?
-            };
+            let batch = self.read_group(src, move |sh: &mut S| sh.export_nodes(&locals))?;
             for (&(i, _), n) in items.iter().zip(batch) {
                 exports[i] = Some((src, n));
             }
@@ -1233,23 +1173,12 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         // install is deterministic, so replicas assign identical local
         // ids) but stay invisible to scans and index lookups.
         self.router.requests[dst] += 1;
-        let locals = if self.k == 1 {
-            let b = batch;
-            let r = self.exec.with_shard(dst, |sh| sh.install_nodes(&b));
-            self.note(dst, r)?
-        } else {
-            let b = Arc::new(batch);
-            self.write_group(dst, move |sh: &mut S| sh.install_nodes(&b))?
-        };
+        let batch = Arc::new(batch);
+        let locals = self.write_group(dst, move |sh: &mut S| sh.install_nodes(&batch))?;
 
         // Activate: the commit point. Failure here aborts presumed-old.
         let acts = locals.clone();
-        let activated = if self.k == 1 {
-            let r = self.exec.with_shard(dst, |sh| sh.activate_nodes(&acts));
-            self.note(dst, r)
-        } else {
-            self.write_group(dst, move |sh: &mut S| sh.activate_nodes(&acts))
-        };
+        let activated = self.write_group(dst, move |sh: &mut S| sh.activate_nodes(&acts));
         if let Err(e) = activated {
             self.abort_install(&moved, &locals, dst);
             // Ghosts minted for this batch are referenced only by the
@@ -1289,123 +1218,46 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         for (&src, items) in &by_src {
             let ls: Vec<Oid> = items.iter().map(|&(_, l)| l).collect();
             self.router.requests[src] += 1;
-            let retired = if self.k == 1 {
-                let d = dst as u16;
-                let r = self
-                    .exec
-                    .with_shard(src, move |sh| sh.retire_nodes(&ls, d, epoch));
-                self.note(src, r)
-            } else {
-                let d = dst as u16;
-                self.write_group(src, move |sh: &mut S| sh.retire_nodes(&ls, d, epoch))
-            };
-            retired?;
+            let d = dst as u16;
+            self.write_group(src, move |sh: &mut S| sh.retire_nodes(&ls, d, epoch))?;
         }
         Ok(moved.len())
     }
 
-    /// Fan `f` out to every *healthy* shard via the executor pool,
-    /// applying the [`ScanPolicy`] to dead shards and to shards that
-    /// fail transiently mid-scan. Returns `(shard, value)` pairs in
-    /// shard order for the shards that answered.
+    /// Fan `f` out to one healthy member of every group through the
+    /// fan-out helper, applying the [`ScanPolicy`] to dead groups and to
+    /// groups exhausted mid-scan. Returns `(shard, value)` pairs in shard
+    /// order for the groups that answered.
     fn fan_out_policy<T: Send + 'static>(
         &mut self,
-        f: impl Fn(&mut S) -> Result<T> + Send + Sync + 'static,
+        f: impl Fn(&mut S) -> Result<T> + Clone + Send + 'static,
     ) -> Result<Vec<(usize, T)>> {
         self.last_scan_partial = false;
         self.last_scan_skipped.clear();
         let policy = self.scan_policy;
-        if self.k > 1 {
-            // Replicated: each logical shard answers from one healthy
-            // member, failing over inside the group before the scan
-            // policy ever has to skip anything.
-            let f: SharedOp<S, T> = Arc::new(f);
-            let mut out = Vec::new();
-            for s in 0..self.router.shard_count() {
-                if !self.group_healthy(s) {
-                    match policy {
-                        ScanPolicy::FailFast => return Err(Self::unavailable(s)),
-                        ScanPolicy::Partial => {
-                            self.last_scan_partial = true;
-                            self.last_scan_skipped.push(s);
-                            continue;
-                        }
-                    }
-                }
+        let mut work = Vec::new();
+        for s in 0..self.router.shard_count() {
+            if self.group_healthy(s) {
                 self.router.requests[s] += 1;
-                let f = Arc::clone(&f);
-                match self.read_group(s, move |sh: &mut S| f(sh)) {
-                    Ok(v) => out.push((s, v)),
-                    Err(e) if e.is_transient() => match policy {
-                        ScanPolicy::FailFast => return Err(Self::transient_for(s, e)),
-                        ScanPolicy::Partial => {
-                            self.last_scan_partial = true;
-                            self.last_scan_skipped.push(s);
-                        }
-                    },
-                    Err(e) => return Err(e),
-                }
-            }
-            return Ok(out);
-        }
-        if let Some(dead) = self.health.iter().position(|h| !*h) {
-            match policy {
-                ScanPolicy::FailFast => return Err(Self::unavailable(dead)),
-                ScanPolicy::Partial => self.last_scan_partial = true,
-            }
-        }
-        let healthy = self.health.clone();
-        for (req, up) in self.router.requests.iter_mut().zip(&healthy) {
-            if *up {
-                *req += 1;
-            }
-        }
-        let n = self.exec.shard_count();
-        let results: Vec<Option<Result<T>>> = if n == 1 {
-            vec![if healthy[0] {
-                Some(self.exec.with_shard(0, |sh| f(sh)))
+                work.push((s, ()));
+            } else if policy == ScanPolicy::FailFast {
+                return Err(Self::unavailable(s));
             } else {
-                None
-            }]
-        } else {
-            let f = Arc::new(f);
-            let mut batch = self.exec.batch();
-            for (s, up) in healthy.iter().enumerate() {
-                if *up {
-                    let f = Arc::clone(&f);
-                    batch.spawn(s, move |sh| f(sh));
-                }
-            }
-            let mut per: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
-            for (s, r) in batch.join() {
-                per[s] = Some(flatten(r));
-            }
-            per
-        };
-        let mut out = Vec::new();
-        for (s, r) in results.into_iter().enumerate() {
-            match r {
-                // Skipped: counted as partial above; record which one.
-                None => self.last_scan_skipped.push(s),
-                Some(Ok(v)) => out.push((s, v)),
-                Some(Err(e)) if e.is_transient() => {
-                    self.health[s] = false;
-                    match policy {
-                        ScanPolicy::FailFast => {
-                            return Err(HmError::ShardUnavailable {
-                                shard: s,
-                                msg: e.to_string(),
-                            });
-                        }
-                        ScanPolicy::Partial => {
-                            self.last_scan_partial = true;
-                            self.last_scan_skipped.push(s);
-                        }
-                    }
-                }
-                Some(Err(e)) => return Err(e),
+                self.last_scan_skipped.push(s);
             }
         }
+        let mut out = Vec::new();
+        for (s, r) in self.fan_out(work, move |sh: &mut S, ()| f(sh)) {
+            match r {
+                Ok(v) => out.push((s, v)),
+                Err(e) if e.is_transient() && policy == ScanPolicy::Partial => {
+                    self.last_scan_skipped.push(s);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        self.last_scan_skipped.sort_unstable();
+        self.last_scan_partial = !self.last_scan_skipped.is_empty();
         Ok(out)
     }
 
@@ -1415,7 +1267,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// deterministic set order, per the trait's set-result convention.
     fn fan_out_owned(
         &mut self,
-        f: impl Fn(&mut S) -> Result<Vec<Oid>> + Send + Sync + 'static,
+        f: impl Fn(&mut S) -> Result<Vec<Oid>> + Clone + Send + 'static,
     ) -> Result<Vec<Oid>> {
         let per_shard = self.fan_out_policy(f)?;
         let mut out = Vec::new();
@@ -1526,85 +1378,45 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         out
     }
 
-    /// Phase one of 2PC: fan `prepare_commit` out to every shard in
-    /// parallel under one shared deadline. A shard that misses the
-    /// deadline is a vote to abort — its prepare keeps running on its
-    /// worker and the abort is queued behind it (per-shard FIFO), so no
-    /// reordering is possible.
-    fn parallel_prepare(
+    /// Run `f` on every healthy member, with the lag check in-job: the
+    /// single-phase commit and the cold restart. A member that fails
+    /// transiently is demoted while its siblings carry the group. Fails
+    /// with the first deterministic error, else with a group left
+    /// without a healthy member (naming it, with its last member's
+    /// error).
+    fn on_every_member(
         &mut self,
-        txid: u64,
-    ) -> Vec<(usize, std::result::Result<Result<()>, ExecError>)> {
-        let n = self.exec.shard_count();
-        if self.k == 1 && n == 1 {
-            return vec![(0, Ok(self.exec.with_shard(0, |sh| sh.prepare_commit(txid))))];
-        }
-        // Replicated, only healthy members participate (the commit path
-        // verified each group still has one); a member that lagged
-        // behind an acked write since then votes to abort rather than
-        // durably committing a stale state.
-        let mut batch = self.exec.batch();
-        for m in 0..n {
-            if !self.health[m] {
-                continue;
-            }
-            if self.k > 1 {
-                let lag = Arc::clone(&self.lag[m]);
-                batch.spawn(m, move |sh| {
-                    if lag.load(Ordering::Acquire) {
-                        return Err(HmError::Timeout(format!(
-                            "replica member {m} lagging behind an acked write"
-                        )));
-                    }
-                    sh.prepare_commit(txid)
-                });
-            } else {
-                batch.spawn(m, move |sh| sh.prepare_commit(txid));
-            }
-        }
-        batch.join_within(self.prepare_timeout)
-    }
-
-    /// Legacy (no commit log) commit for a replicated deployment: every
-    /// healthy member commits independently; a mirror that fails
-    /// transiently — or lagged behind an acked write since the repair
-    /// pass — is demoted while its siblings carry the group, and a
-    /// deterministic failure (identical on every mirror) is returned.
-    fn commit_replicated_single_phase(&mut self) -> Result<()> {
-        let members: Vec<usize> = (0..self.health.len()).filter(|&m| self.health[m]).collect();
-        let mut batch = self.exec.batch();
-        for &m in &members {
-            let lag = Arc::clone(&self.lag[m]);
-            batch.spawn(m, move |sh| {
-                if lag.load(Ordering::Acquire) {
-                    return Err(HmError::Timeout(format!(
-                        "replica member {m} lagging behind an acked write"
-                    )));
-                }
-                sh.commit()
-            });
-        }
-        let mut hard: Option<HmError> = None;
-        for (m, r) in batch.join() {
+        f: impl FnOnce(&mut S) -> Result<()> + Clone + Send + 'static,
+    ) -> Result<()> {
+        let jobs = self
+            .healthy_members()
+            .into_iter()
+            .map(|m| (m, self.unless_lagging(m, f.clone())))
+            .collect();
+        let mut hard = None;
+        let mut lost = None;
+        for (m, r) in self.dispatch(jobs, Join::All) {
             match flatten(r) {
                 Ok(()) => {}
-                Err(e) if e.is_transient() => self.demote(m),
+                Err(e) if e.is_transient() => {
+                    self.demote(m);
+                    let s = self.group_of(m);
+                    if !self.group_healthy(s) {
+                        lost.get_or_insert(Self::unavailable_because(s, e));
+                    }
+                }
                 Err(e) => {
                     hard.get_or_insert(e);
                 }
             }
         }
-        if let Some(e) = hard {
+        if let Some(e) = hard.or(lost) {
             return Err(e);
         }
-        // A group that lost its last member mid-commit is a hard failure;
-        // a demoted mirror with a committed sibling is not.
-        for s in 0..self.router.shard_count() {
-            if !self.group_healthy(s) {
-                return Err(Self::unavailable(s));
-            }
+        match self.dead_group() {
+            Some(s) => Err(Self::unavailable(s)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Once the log has grown past the checkpoint interval, drop every
@@ -1624,12 +1436,7 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
     fn lookup_unique(&mut self, unique_id: u64) -> Result<Oid> {
         let g = self.router.global_for_uid(unique_id)?;
         let (s, l) = self.route(g)?;
-        let local = if self.k == 1 {
-            let r = self.exec.with_shard(s, |sh| sh.lookup_unique(unique_id));
-            self.note(s, r)?
-        } else {
-            self.read_group(s, move |sh: &mut S| sh.lookup_unique(unique_id))?
-        };
+        let local = self.read_group(s, move |sh: &mut S| sh.lookup_unique(unique_id))?;
         debug_assert_eq!(local, l, "shard uid index disagrees with router");
         Ok(g)
     }
@@ -1745,19 +1552,12 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
             return Err(Self::unavailable(s));
         }
         self.router.requests[s] += 1;
-        let local = if self.k == 1 {
-            let r = self
-                .exec
-                .with_shard(s, |sh| sh.create_node_clustered(value, local_near));
-            self.note(s, r)?
-        } else {
-            // Each mirror runs the identical create, so the local ids it
-            // hands back match on every copy; any one ack names them all.
-            let value = value.clone();
-            self.write_group(s, move |sh: &mut S| {
-                sh.create_node_clustered(&value, local_near)
-            })?
-        };
+        // Each mirror runs the identical create, so the local ids it hands
+        // back match on every copy; any one ack names them all.
+        let v = value.clone();
+        let local = self.write_group(s, move |sh: &mut S| {
+            sh.create_node_clustered(&v, local_near)
+        })?;
         self.router
             .register(g, s, local, depth, value.attrs.unique_id);
         self.router.nodes[s] += 1;
@@ -1785,64 +1585,53 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
             return Err(Self::unavailable(s));
         }
         self.router.requests[s] += 1;
-        let local = if self.k == 1 {
-            let r = self.exec.with_shard(s, |sh| sh.insert_extra_node(value));
-            self.note(s, r)?
-        } else {
-            let value = value.clone();
-            self.write_group(s, move |sh: &mut S| sh.insert_extra_node(&value))?
-        };
+        let v = value.clone();
+        let local = self.write_group(s, move |sh: &mut S| sh.insert_extra_node(&v))?;
         self.router
             .register(g, s, local, depth, value.attrs.unique_id);
         Ok(g)
     }
 
     fn commit(&mut self) -> Result<()> {
-        if self.k > 1 {
-            // Commit is the natural anti-entropy point: demote anything
-            // flagged lagging, then resync every demoted mirror so the
-            // whole group takes the commit together when possible.
-            for m in 0..self.health.len() {
-                if self.health[m] && self.lag[m].load(Ordering::Acquire) {
-                    self.demote(m);
-                }
-            }
-            self.repair_replicas();
-            // Every *group* must still be reachable; a dead mirror with
-            // a healthy sibling is not a failed commit.
-            for s in 0..self.router.shard_count() {
-                if !self.group_healthy(s) {
-                    return Err(Self::unavailable(s));
-                }
-            }
-        } else if let Some(dead) = self.health.iter().position(|h| !*h) {
-            // A commit must touch every shard: fail fast on a known-dead one.
-            return Err(Self::unavailable(dead));
+        // Commit is the natural anti-entropy point: demote anything
+        // flagged lagging, then resync every demoted mirror that has a
+        // healthy sibling so the whole group takes the commit together.
+        self.demote_lagging(0..self.health.len());
+        self.repair_replicas();
+        // Every *group* must be reachable; a dead mirror with a healthy
+        // sibling is not a failed commit.
+        if let Some(s) = self.dead_group() {
+            return Err(Self::unavailable(s));
         }
         if self.commit_log.is_none() {
-            if self.k > 1 {
-                return self.commit_replicated_single_phase();
-            }
-            // Legacy single-phase: every shard commits independently. Not
+            // Single-phase: every member commits independently. Not
             // crash-atomic across shards — enable `with_commit_log` for that.
-            for (s, r) in self
-                .all_shards(|shard| shard.commit())
-                .into_iter()
-                .enumerate()
-            {
-                self.note(s, r)?;
-            }
-            return Ok(());
+            return self.on_every_member(|sh| sh.commit());
         }
         // Two-phase: prepare everywhere in parallel under one deadline,
-        // durably record the decision, then tell every shard to finish.
+        // durably record the decision, then tell every member to finish.
         // The fsynced decision record is the commit point — once it is on
         // disk, recovery completes the transaction even if every later
         // message is lost.
         let txid = self.next_txid;
         self.next_txid += 1;
         obs::incr("shard.2pc.prepared", 1);
-        let prepared = self.parallel_prepare(txid);
+        // Only healthy members take part. A member that lagged behind an
+        // acked write since the repair pass votes to abort rather than
+        // durably committing a stale state; one that misses the shared
+        // deadline votes to abort too (its prepare keeps running on its
+        // worker and the abort is queued behind it, FIFO).
+        let jobs = self
+            .healthy_members()
+            .into_iter()
+            .map(|m| {
+                (
+                    m,
+                    self.unless_lagging(m, move |sh: &mut S| sh.prepare_commit(txid)),
+                )
+            })
+            .collect();
+        let prepared = self.dispatch(jobs, Join::Within(self.prepare_timeout));
         if !prepared.iter().all(|(_, r)| matches!(r, Ok(Ok(())))) {
             self.aborts += 1;
             obs::incr("shard.2pc.aborted", 1);
@@ -1852,32 +1641,29 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
                 let _ = log.record(txid, false);
             }
             let mut first = None;
-            for (s, r) in prepared {
-                match r {
+            for (m, r) in prepared {
+                let e = match r {
                     Ok(Ok(())) => {
-                        // Voted yes: roll this shard back.
-                        let a = self.exec.with_shard(s, |sh| sh.abort_prepared(txid));
-                        let _ = self.note(s, a);
+                        // Voted yes: roll this member back.
+                        let aborted = self.exec.run_on(m, move |sh| sh.abort_prepared(txid));
+                        if let Err(e) = flatten(aborted) {
+                            self.member_failed(m, e);
+                        }
+                        continue;
                     }
-                    Ok(Err(e)) => {
-                        let e = self.note_err(s, e);
-                        first.get_or_insert(e);
-                    }
+                    Ok(Err(e)) => e,
                     Err(timed_out @ ExecError::TimedOut(_)) => {
-                        // The prepare is still running on the shard's
-                        // worker; queue the abort behind it (FIFO) without
-                        // waiting — the deadline was already missed.
-                        let _ = self.exec.submit(s, move |sh| {
+                        // Queue the abort behind the running prepare
+                        // without waiting — the deadline was already missed.
+                        let _ = self.exec.submit(m, move |sh| {
                             let _ = sh.abort_prepared(txid);
                         });
-                        let e = self.note_err(s, timed_out.into_hm());
-                        first.get_or_insert(e);
+                        timed_out.into_hm()
                     }
-                    Err(e) => {
-                        let e = self.note_err(s, e.into_hm());
-                        first.get_or_insert(e);
-                    }
-                }
+                    Err(e) => e.into_hm(),
+                };
+                let e = self.member_failed(m, e);
+                first.get_or_insert(e);
             }
             return Err(first.unwrap_or_else(|| {
                 HmError::Backend("prepare failed but no shard reported an error".into())
@@ -1887,32 +1673,19 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
             log.record(txid, true)?;
         }
         obs::incr("shard.2pc.committed", 1);
-        // Phase two: failures here only mark health — the decision is
-        // durable, so recovery finishes the commit on the failed shard.
-        if self.k == 1 {
-            for (s, r) in self
-                .all_shards(move |shard| shard.commit_prepared(txid))
-                .into_iter()
-                .enumerate()
-            {
-                if self.note(s, r).is_ok() {
-                    self.acked[s] = txid;
-                }
-            }
-        } else {
-            // Only the members that prepared participate; a mirror that
-            // fails the decision is demoted and repaired later.
-            let members: Vec<usize> = (0..self.health.len()).filter(|&m| self.health[m]).collect();
-            let mut batch = self.exec.batch();
-            for &m in &members {
-                batch.spawn(m, move |sh| sh.commit_prepared(txid));
-            }
-            for (m, r) in batch.join() {
-                match flatten(r) {
-                    Ok(()) => self.acked[m] = txid,
-                    Err(e) if e.is_transient() => self.demote(m),
-                    Err(_) => {}
-                }
+        // Phase two, on the members that prepared: a failure here only
+        // demotes — the decision is durable, so recovery (or repair)
+        // finishes the commit on the failed member.
+        let jobs = self
+            .healthy_members()
+            .into_iter()
+            .map(|m| (m, move |sh: &mut S| sh.commit_prepared(txid)))
+            .collect();
+        for (m, r) in self.dispatch(jobs, Join::All) {
+            match flatten(r) {
+                Ok(()) => self.acked[m] = txid,
+                Err(e) if e.is_transient() => self.demote(m),
+                Err(_) => {}
             }
         }
         self.maybe_checkpoint();
@@ -1920,43 +1693,7 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
     }
 
     fn cold_restart(&mut self) -> Result<()> {
-        if self.k == 1 {
-            for (s, r) in self
-                .all_shards(|shard| shard.cold_restart())
-                .into_iter()
-                .enumerate()
-            {
-                self.note(s, r)?;
-            }
-            return Ok(());
-        }
-        // Replicated: restart every healthy member; a mirror that fails
-        // transiently is demoted instead of failing the restart, as long
-        // as each group keeps one live member.
-        let members: Vec<usize> = (0..self.health.len()).filter(|&m| self.health[m]).collect();
-        let mut batch = self.exec.batch();
-        for &m in &members {
-            batch.spawn(m, |sh| sh.cold_restart());
-        }
-        let mut hard: Option<HmError> = None;
-        for (m, r) in batch.join() {
-            match flatten(r) {
-                Ok(()) => {}
-                Err(e) if e.is_transient() => self.demote(m),
-                Err(e) => {
-                    hard.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = hard {
-            return Err(e);
-        }
-        for s in 0..self.router.shard_count() {
-            if !self.group_healthy(s) {
-                return Err(Self::unavailable(s));
-            }
-        }
-        Ok(())
+        self.on_every_member(|sh| sh.cold_restart())
     }
 
     fn backend_name(&self) -> &'static str {
@@ -2041,10 +1778,11 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
 
     fn children_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>> {
         let (work, pos) = self.group_by_shard(oids)?;
-        let results =
-            self.batched_checked(work, |shard, ls: Vec<Oid>| shard.children_batch(&ls))?;
+        let results = self.batched_checked(work, |shard: &mut S, ls: Vec<Oid>| {
+            shard.children_batch(&ls)
+        })?;
         let mut out = vec![Vec::new(); oids.len()];
-        for (s, lists) in results.into_iter().enumerate() {
+        for (s, lists) in results {
             for (j, list) in lists.into_iter().enumerate() {
                 out[pos[s][j]] = self.translate_oids(s, list)?;
             }
@@ -2054,9 +1792,10 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
 
     fn parts_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>> {
         let (work, pos) = self.group_by_shard(oids)?;
-        let results = self.batched_checked(work, |shard, ls: Vec<Oid>| shard.parts_batch(&ls))?;
+        let results =
+            self.batched_checked(work, |shard: &mut S, ls: Vec<Oid>| shard.parts_batch(&ls))?;
         let mut out = vec![Vec::new(); oids.len()];
-        for (s, lists) in results.into_iter().enumerate() {
+        for (s, lists) in results {
             for (j, list) in lists.into_iter().enumerate() {
                 out[pos[s][j]] = self.translate_oids(s, list)?;
             }
@@ -2066,9 +1805,10 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
 
     fn refs_to_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<RefEdge>>> {
         let (work, pos) = self.group_by_shard(oids)?;
-        let results = self.batched_checked(work, |shard, ls: Vec<Oid>| shard.refs_to_batch(&ls))?;
+        let results =
+            self.batched_checked(work, |shard: &mut S, ls: Vec<Oid>| shard.refs_to_batch(&ls))?;
         let mut out = vec![Vec::new(); oids.len()];
-        for (s, lists) in results.into_iter().enumerate() {
+        for (s, lists) in results {
             for (j, list) in lists.into_iter().enumerate() {
                 out[pos[s][j]] = self.translate_edges(s, list)?;
             }
@@ -2078,9 +1818,10 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
 
     fn hundred_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>> {
         let (work, pos) = self.group_by_shard(oids)?;
-        let results = self.batched_checked(work, |shard, ls: Vec<Oid>| shard.hundred_batch(&ls))?;
+        let results =
+            self.batched_checked(work, |shard: &mut S, ls: Vec<Oid>| shard.hundred_batch(&ls))?;
         let mut out = vec![0u32; oids.len()];
-        for (s, vals) in results.into_iter().enumerate() {
+        for (s, vals) in results {
             for (j, v) in vals.into_iter().enumerate() {
                 out[pos[s][j]] = v;
             }
@@ -2090,9 +1831,10 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
 
     fn million_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>> {
         let (work, pos) = self.group_by_shard(oids)?;
-        let results = self.batched_checked(work, |shard, ls: Vec<Oid>| shard.million_batch(&ls))?;
+        let results =
+            self.batched_checked(work, |shard: &mut S, ls: Vec<Oid>| shard.million_batch(&ls))?;
         let mut out = vec![0u32; oids.len()];
-        for (s, vals) in results.into_iter().enumerate() {
+        for (s, vals) in results {
             for (j, v) in vals.into_iter().enumerate() {
                 out[pos[s][j]] = v;
             }
@@ -2107,33 +1849,18 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
             let (s, l) = self.router.to_local(g)?;
             per[s].push((l, v));
         }
-        let mut work = Vec::with_capacity(n);
+        for (s, w) in per.iter().enumerate() {
+            if !w.is_empty() && !self.group_healthy(s) {
+                return Err(Self::unavailable(s));
+            }
+        }
+        // One write per group with work, each sent to all of the group's
+        // healthy mirrors.
         for (s, w) in per.into_iter().enumerate() {
-            if w.is_empty() {
-                work.push(None);
-            } else {
-                if !self.group_healthy(s) {
-                    return Err(Self::unavailable(s));
-                }
+            if !w.is_empty() {
                 self.router.requests[s] += 1;
-                work.push(Some(w));
+                self.write_group(s, move |sh: &mut S| sh.set_hundred_batch(&w))?;
             }
-        }
-        if self.k > 1 {
-            // Writes fan out per group; each group's batch still runs on
-            // all of its healthy mirrors concurrently.
-            for (s, w) in work.into_iter().enumerate() {
-                if let Some(w) = w {
-                    self.write_group(s, move |sh: &mut S| sh.set_hundred_batch(&w))?;
-                }
-            }
-            return Ok(());
-        }
-        let results = self.batched(work, |shard, w: Vec<(Oid, u32)>| {
-            shard.set_hundred_batch(&w)
-        });
-        for (s, r) in results.into_iter().enumerate() {
-            self.note(s, r)?;
         }
         Ok(())
     }

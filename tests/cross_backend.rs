@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use rel_backend::RelStore;
 use shard::{Placement, ShardedStore};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct Loaded {
     store: Box<dyn HyperStore>,
@@ -27,9 +28,13 @@ struct Loaded {
     path: Option<PathBuf>,
 }
 
+/// A fresh database path. Unique per call, not just per process: the
+/// tests in this file run on parallel threads and each loads every backend.
 fn db_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut p = std::env::temp_dir();
-    p.push(format!("hm-xback-{}-{tag}.db", std::process::id()));
+    p.push(format!("hm-xback-{}-{n}-{tag}.db", std::process::id()));
     let _ = std::fs::remove_file(&p);
     let mut w = p.clone().into_os_string();
     w.push(".wal");
